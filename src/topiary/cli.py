@@ -56,15 +56,18 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="SUBCOMMAND")
 
+    defaults = slv.SolveConfig()
     solver_flags = argparse.ArgumentParser(add_help=False)
     solver_flags.add_argument("--input", required=True, help="problem JSON")
     solver_flags.add_argument("--output", help="result JSON destination")
     solver_flags.add_argument(
-        "--algorithm", choices=slv.ALGORITHMS, default="exchange"
+        "--algorithm", choices=slv.ALGORITHMS, default=defaults.algorithm
     )
-    solver_flags.add_argument("--tol", type=float, default=1e-8, help="margin tolerance")
-    solver_flags.add_argument("--weight-tol", type=float, default=1e-10)
-    solver_flags.add_argument("--max-iter", type=int, default=100000)
+    solver_flags.add_argument(
+        "--tol", type=float, default=defaults.margin_tol, help="margin tolerance"
+    )
+    solver_flags.add_argument("--weight-tol", type=float, default=defaults.weight_tol)
+    solver_flags.add_argument("--max-iter", type=int, default=defaults.max_iter)
     solver_flags.add_argument("--trace", metavar="PATH", help="iteration trace CSV")
     solver_flags.add_argument("--seed-point", type=int, metavar="ID")
     solver_flags.add_argument("--json", action="store_true", help="machine JSON on stdout")

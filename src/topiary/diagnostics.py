@@ -75,6 +75,14 @@ def _tol_of(result, default=obj.DEFAULT_MARGIN_TOL):
     return getattr(result, "margin_tol", default)
 
 
+def _evaluate(result, kern, psi, K):
+    """(psi spec, margin table, sorted K ids) for a result or bare measure."""
+    psi = obj.as_psi(psi, kern)
+    table = obj.margin_table(_resolve_measure(result), psi, kern)
+    ids = np.array(sorted(int(k) for k in (range(kern.n) if K is None else K)), dtype=int)
+    return psi, table, ids
+
+
 def capm_report(result, kern, psi, K=None):
     """One pricing row per point of K.
 
@@ -83,34 +91,28 @@ def capm_report(result, kern, psi, K=None):
     certifies. A riskless optimum (||mu|| = 0) leaves beta and alpha
     undefined; those rows carry None and in_index falls back to the margin.
     """
-    measure = _resolve_measure(result)
-    psi = obj.as_psi(psi, kern)
+    psi, table, ids = _evaluate(result, kern, psi, K)
     tol = _tol_of(result)
-    ids = sorted(int(k) for k in (range(kern.n) if K is None else K))
-    iota = obj.margins(measure, psi, kern)
-    riskless = msr.norm_sq(measure, kern) <= 1e-14
-    rows = []
-    for i in ids:
-        mu_i = msr.mu_eval(measure, kern, i)
-        if riskless:
-            b = a = None
-            member = abs(float(iota[i])) <= tol
-        else:
-            b = obj.beta(measure, kern, i)
-            a = obj.alpha(measure, psi, kern, i)
-            member = abs(a) <= tol
-        rows.append(
-            CapmRow(
-                point_id=i,
-                label=kern.points[i].label,
-                psi=float(psi.values[i]),
-                mu_value=mu_i,
-                beta=b,
-                alpha_margin=a,
-                in_index=member,
-            )
+    if table.norm_sq <= obj.ZERO_TOL:
+        betas = alphas = [None] * ids.size
+        member = np.abs(table.margins[ids]) <= tol
+    else:
+        betas = table.betas()[ids].tolist()
+        alphas = table.alphas(psi.values)[ids]
+        member = np.abs(alphas) <= tol
+        alphas = alphas.tolist()
+    return [
+        CapmRow(
+            point_id=i,
+            label=kern.points[i].label,
+            psi=float(psi.values[i]),
+            mu_value=float(table.mu[i]),
+            beta=b,
+            alpha_margin=a,
+            in_index=bool(f),
         )
-    return rows
+        for i, b, a, f in zip(ids.tolist(), betas, alphas, member)
+    ]
 
 
 def jc_report(result, kern, psi, K=None, base_points=None):
@@ -122,13 +124,11 @@ def jc_report(result, kern, psi, K=None, base_points=None):
     -||psi|| is only checkable when psi comes in embedded form with a norm;
     a plain table leaves it unchecked. Violations raise, they do not warn.
     """
-    measure = _resolve_measure(result)
-    psi = obj.as_psi(psi, kern)
+    psi, table, ids = _evaluate(result, kern, psi, K)
     tol = _tol_of(result)
-    ids = sorted(int(k) for k in (range(kern.n) if K is None else K))
-    iota = obj.margins(measure, psi, kern)
+    iota = table.margins
     if base_points is None:
-        base_points = [i for i in ids if abs(float(iota[i])) <= tol]
+        base_points = ids[np.abs(iota[ids]) <= tol].tolist()
     bases = sorted(int(b) for b in base_points)
     for b in bases:
         if abs(float(iota[b])) > tol:
@@ -136,16 +136,20 @@ def jc_report(result, kern, psi, K=None, base_points=None):
                 "point %d has margin %.3g; slope rows start from index points only"
                 % (b, float(iota[b]))
             )
-    mu_norm = math.sqrt(msr.norm_sq(measure, kern))
+    mu_norm = math.sqrt(table.norm_sq)
+    G = kern.gram
+    diag = np.diag(G)
     rows = []
     for x in bases:
-        mu_x = msr.mu_eval(measure, kern, x)
-        for y in ids:
-            d = kern.embed_distance(x, y)
-            if d <= _D_FLOOR:
-                continue
-            psi_slope = (float(psi.values[y]) - float(psi.values[x])) / d
-            mu_slope = (msr.mu_eval(measure, kern, y) - mu_x) / d
+        # Kernel.embed_distance from x to every y at once
+        dist = np.sqrt(np.maximum(0.0, G[x, x] - 2.0 * G[x, ids] + diag[ids]))
+        far = dist > _D_FLOOR
+        ys, dist = ids[far], dist[far]
+        psi_slopes = (psi.values[ys] - psi.values[x]) / dist
+        mu_slopes = (table.mu[ys] - table.mu[x]) / dist
+        for y, d, psi_slope, mu_slope in zip(
+            ys.tolist(), dist.tolist(), psi_slopes.tolist(), mu_slopes.tolist()
+        ):
             if psi_slope > mu_slope + tol:
                 raise InvariantViolation(
                     "slope chain broken at (%d,%d): psi %.17g > mu %.17g"
@@ -171,36 +175,29 @@ def sml_points(result, kern, psi, K=None, extras=()):
     Index points sit on the line psi = mu + r within margin_tol, other
     K-points on or below it, extras wherever they land.
     """
-    measure = _resolve_measure(result)
-    psi = obj.as_psi(psi, kern)
+    psi, table, ids = _evaluate(result, kern, psi, K)
     tol = _tol_of(result)
-    ids = sorted(int(k) for k in (range(kern.n) if K is None else K))
-    extra_ids = sorted(int(e) for e in extras)
-    iota = obj.margins(measure, psi, kern)
-    rate = obj.topiaric_rate(measure, psi, kern)
-    pts = []
-    for i in sorted(set(ids) | set(extra_ids)):
-        if i in set(extra_ids) and i not in set(ids):
-            cls = "outside-K"
-        elif abs(float(iota[i])) <= tol:
-            cls = "index"
-        else:
-            cls = "interior-of-K"
-        pts.append(
-            SmlPoint(
-                point_id=i,
-                x_coord=msr.mu_eval(measure, kern, i),
-                y_coord=float(psi.values[i]),
-                classification=cls,
-            )
-        )
+    pts = np.array(sorted(set(ids.tolist()) | {int(e) for e in extras}), dtype=int)
+    classes = np.where(
+        ~np.isin(pts, ids),
+        "outside-K",
+        np.where(np.abs(table.margins[pts]) <= tol, "index", "interior-of-K"),
+    )
     return SmlReport(
-        points=tuple(pts),
+        points=tuple(
+            SmlPoint(point_id=i, x_coord=m, y_coord=p, classification=c)
+            for i, m, p, c in zip(
+                pts.tolist(),
+                table.mu[pts].tolist(),
+                psi.values[pts].tolist(),
+                classes.tolist(),
+            )
+        ),
         slope=1.0,
-        intercept=rate,
-        rate=rate,
-        mu_norm=math.sqrt(msr.norm_sq(measure, kern)),
-        objective=obj.aesthetic_objective(measure, psi, kern),
+        intercept=table.rate,
+        rate=table.rate,
+        mu_norm=math.sqrt(table.norm_sq),
+        objective=table.objective,
     )
 
 

@@ -17,6 +17,7 @@ import tempfile
 import numpy as np
 
 from .errors import InvalidInput
+from . import diagnostics as dgn
 from . import kernel as krn
 from . import measure as msr
 from . import objective as obj
@@ -309,24 +310,12 @@ def write_trace(path, trace):
 
 def margin_csv(measure, psi, kern):
     """Full margin table: every ground point with its CAPM coordinates."""
-    psi = obj.as_psi(psi, kern)
-    labels = kern.labels()
-    nsq = msr.norm_sq(measure, kern)
-    riskless = nsq <= 1e-14
-    rows = []
-    for i in range(kern.n):
-        mu_i = msr.mu_eval(measure, kern, i)
-        rows.append(
-            (
-                i,
-                "" if labels[i] is None else labels[i],
-                float(psi.values[i]),
-                mu_i,
-                obj.margin(measure, psi, kern, i),
-                None if riskless else obj.beta(measure, kern, i),
-                None if riskless else obj.alpha(measure, psi, kern, i),
-            )
-        )
+    iota = obj.margins(measure, psi, kern)
+    rows = (
+        (r.point_id, "" if r.label is None else r.label, r.psi, r.mu_value,
+         iota[r.point_id], r.beta, r.alpha_margin)
+        for r in dgn.capm_report(measure, kern, psi)
+    )
     return _csv_text(("point", "label", "psi", "mu", "margin", "beta", "alpha"), rows)
 
 

@@ -119,25 +119,6 @@ def _containing_cell(spec, z, points):
     return int(hits[0]) if hits.size else None
 
 
-def _delta_result(kern, psi, cell, margin_tol, algorithm):
-    measure = msr.delta(cell)
-    table = obj.margin_table(measure, psi, kern)
-    index = tuple(
-        int(i) for i in range(kern.n) if abs(float(table.margins[i])) <= margin_tol
-    )
-    return TopiaryResult(
-        measure=measure,
-        objective=table.objective,
-        rate=table.rate,
-        score=table.score,
-        index=index,
-        iterations=0,
-        algorithm=algorithm,
-        margin_tol=margin_tol,
-        trace=None,
-    )
-
-
 def solve_maze(spec, config=None):
     """Solve the obstacle topiary; psi = 0, or the target's kernel row.
 
@@ -164,10 +145,14 @@ def solve_maze(spec, config=None):
         _containing_cell(spec, spec.target, points) if spec.target is not None else None
     )
     if origin_cell is not None:
-        result = _delta_result(kern, psi, origin_cell, cfg.margin_tol, cfg.algorithm)
+        result = TopiaryResult.evaluate(
+            msr.delta(origin_cell), psi, kern, cfg.margin_tol, 0, cfg.algorithm
+        )
         trichotomy = "origin-in-obstacle"
     elif target_cell is not None:
-        result = _delta_result(kern, psi, target_cell, cfg.margin_tol, cfg.algorithm)
+        result = TopiaryResult.evaluate(
+            msr.delta(target_cell), psi, kern, cfg.margin_tol, 0, cfg.algorithm
+        )
         trichotomy = "target-in-obstacle"
     else:
         result = solve(kern, psi, cfg)
@@ -185,11 +170,16 @@ def solve_maze(spec, config=None):
     )
 
 
+def _weighted_points(mres):
+    """Weights and scaled points of the solved measure's nonzero atoms."""
+    m = mres.result.measure
+    held = m.weights != 0.0
+    return m.weights[held], np.asarray(mres.points)[m.ids[held]] * mres.scale
+
+
 def _analytic_sum(mres, z_scaled):
     """F(z) = sum_j w_j e^{z conj(p_j)} over the support, complex-valued."""
-    sup = mres.result.support()
-    w = np.array([mres.result.measure.weight_of(int(i)) for i in sup])
-    p = np.array([mres.points[int(i)] for i in sup]) * mres.scale
+    w, p = _weighted_points(mres)
     expo = np.multiply.outer(z_scaled, np.conj(p))
     return np.exp(expo) @ w
 
@@ -249,9 +239,7 @@ def conjugate_field(mres, resolution=256, bounds=None):
         im = np.imag(_analytic_sum(mres, zz * mres.scale))
         at0 = float(np.imag(_analytic_sum(mres, np.array([0j])))[0])
     else:
-        sup = mres.result.support()
-        w = np.array([mres.result.measure.weight_of(int(i)) for i in sup])
-        p = np.array([mres.points[int(i)] for i in sup]) * mres.scale
+        w, p = _weighted_points(mres)
         zs = zz * mres.scale
         vals = np.zeros(zs.shape, dtype=complex)
         for wj, pj in zip(w, p):
@@ -270,11 +258,13 @@ def _gradient(mres, z):
     scale factor drops out after normalization.
     """
     zs = complex(z) * mres.scale
-    sup = mres.result.support()
+    m = mres.result.measure
     d = 0j
-    for i in sup:
-        pj = complex(mres.points[int(i)]) * mres.scale
-        d -= mres.result.measure.weight_of(int(i)) * np.conj(pj) * cmath.exp(zs * np.conj(pj))
+    for i, w in zip(m.ids.tolist(), m.weights.tolist()):
+        if w == 0.0:
+            continue
+        pj = complex(mres.points[i]) * mres.scale
+        d -= w * np.conj(pj) * cmath.exp(zs * np.conj(pj))
     if mres.spec.target is not None:
         alpha = complex(mres.spec.target) * mres.scale
         d += np.conj(alpha) * cmath.exp(zs * np.conj(alpha))

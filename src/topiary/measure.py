@@ -21,6 +21,9 @@ _MASS_TOL = 1e-12
 
 @dataclass(frozen=True)
 class AtomicMeasure:
+    """Atoms (point id, weight) plus read-only ids and weights arrays in atom
+    order, built once; equality and hashing look at atoms and kind only."""
+
     atoms: Tuple[Tuple[int, float], ...]
     kind: str = PROBABILITY
 
@@ -28,13 +31,14 @@ class AtomicMeasure:
         if self.kind not in (PROBABILITY, SIGNED):
             raise InvalidInput("measure kind must be probability or signed")
         atoms = tuple((int(i), float(w)) for i, w in self.atoms)
-        ids = [i for i, _ in atoms]
-        if len(set(ids)) != len(ids):
+        by_id = dict(atoms)
+        if len(by_id) != len(atoms):
             raise InvalidInput("measure atoms repeat a point id")
+        ids = np.array([i for i, _ in atoms], dtype=int)
+        ws = np.array([w for _, w in atoms], dtype=float)
         if self.kind == PROBABILITY:
             if not atoms:
                 raise InvalidInput("probability measure needs at least one atom")
-            ws = np.array([w for _, w in atoms])
             if ws.min(initial=0.0) < -_MASS_TOL:
                 raise InvalidInput(
                     "probability measure has negative weight %g" % ws.min()
@@ -43,15 +47,12 @@ class AtomicMeasure:
                 raise InvalidInput(
                     "probability weights sum to %.17g, not 1" % ws.sum()
                 )
+        ids.setflags(write=False)
+        ws.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
-
-    @property
-    def ids(self):
-        return np.array([i for i, _ in self.atoms], dtype=int)
-
-    @property
-    def weights(self):
-        return np.array([w for _, w in self.atoms], dtype=float)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "weights", ws)
+        object.__setattr__(self, "_by_id", by_id)
 
     def total_mass(self):
         return float(sum(w for _, w in self.atoms))
@@ -61,10 +62,7 @@ class AtomicMeasure:
         return tuple(sorted(i for i, w in self.atoms if w != 0.0))
 
     def weight_of(self, point_id):
-        for i, w in self.atoms:
-            if i == point_id:
-                return w
-        return 0.0
+        return self._by_id.get(point_id, 0.0)
 
     def as_vector(self, n):
         v = np.zeros(n)
@@ -141,10 +139,12 @@ def embedded_distance(mu, nu, kern):
     ||mu||^2 - 2<mu,nu> + ||nu||^2; the latter cancels catastrophically
     for nearby measures and cannot resolve distances below sqrt(eps).
     """
-    ids = sorted({int(i) for i, _ in mu.atoms} | {int(i) for i, _ in nu.atoms})
-    if not ids:
+    ids = np.union1d(mu.ids, nu.ids)
+    if not ids.size:
         return 0.0
-    dw = np.array([mu.weight_of(i) - nu.weight_of(i) for i in ids])
+    dw = np.zeros(ids.size)
+    dw[np.searchsorted(ids, mu.ids)] = mu.weights
+    dw[np.searchsorted(ids, nu.ids)] -= nu.weights
     G = kern.gram[np.ix_(ids, ids)]
     return float(np.sqrt(max(0.0, float(dw @ G @ dw))))
 

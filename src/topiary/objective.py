@@ -1,15 +1,18 @@
-"""The objective, margin, rate, score, beta and alpha.
+"""The objective, margin, rate, score, beta and alpha of a measure.
 
-Everything here is a pure function of (measure, psi, kernel). The objective
-being maximized is O(mu) = integral(psi d mu) - ||mu||^2 / 2 over probability
-measures; the margin iota(x) = psi(x) - mu(x) - r is its directional
-derivative toward delta_x, with r the rate integral(psi - mu) d mu. A
-converged solution has margin zero on its support and nonpositive
-everywhere else.
+`margin_table` is the one evaluation of a measure mu with ids and weights w.
+One product G[:, ids] @ w gives mu(x) over the ground set; with
+lin = integral(psi d mu) and ||mu||^2 = w' G[ids, ids] w it yields the
+objective O(mu) = lin - ||mu||^2 / 2 (maximized over probability measures),
+the rate r = lin - ||mu||^2, the margin iota(x) = psi(x) - mu(x) - r (the
+directional derivative of O toward delta_x), the score max iota with its
+argmax, and the CAPM beta and alpha. A converged solution has margin zero on
+its support and nonpositive everywhere else. The per-point functions here
+are views of the table, and the diagnostics read their columns from it, so
+the CAPM alpha and the optimality certificate come from one mu vector.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 import numpy as np
 
@@ -18,7 +21,8 @@ from .errors import InvalidInput, ZeroPortfolio
 
 DEFAULT_MARGIN_TOL = 1e-8
 
-_ZERO_NORM_TOL = 1e-14
+# squared lengths, norms and step sizes at or below this count as zero
+ZERO_TOL = 1e-14
 
 
 class PsiSpec:
@@ -78,58 +82,107 @@ def as_psi(psi, kern):
     return spec
 
 
-def aesthetic_objective(measure, psi, kern):
+@dataclass(frozen=True)
+class MarginTable:
+    margins: np.ndarray
+    rate: float
+    score: float
+    objective: float
+    norm_sq: float
+    argmax: int
+    mu: np.ndarray  # embedded values mu(x) over the ground set
+    lin: float  # integral(psi d mu)
+
+    def betas(self):
+        """mu(x) / ||mu||^2, the regression coefficient of each point on mu."""
+        if self.norm_sq <= ZERO_TOL:
+            raise ZeroPortfolio("portfolio embeds to zero; beta undefined")
+        return self.mu / self.norm_sq
+
+    def alphas(self, psi_values):
+        """psi(x) - r - beta(x) (lin - r) for the psi table the margins came
+        from. Algebraically the margin, because the excess lin - r equals
+        ||mu||^2; both formulas are kept and tests assert the identity."""
+        return psi_values - self.rate - self.betas() * (self.lin - self.rate)
+
+
+def _argmax(iota, cand, G, mu, nsq):
+    """(max margin over the ids cand, argmax id), ties broken as `score`
+    documents. Step gains rank only at a positive max margin: at or below
+    zero no step is taken, and the lowest tied id wins."""
+    vals = iota[cand]
+    best = float(vals.max())
+    tied = cand[vals == best]
+    if tied.size > 1 and best > 0.0:
+        d2 = G[tied, tied] - 2.0 * mu[tied] + nsq
+        gains = np.where(d2 > ZERO_TOL, best * best / (2.0 * np.maximum(d2, ZERO_TOL)), np.inf)
+        tied = tied[gains == gains.max()]
+    return best, int(tied[0])
+
+
+def margin_table(measure, psi, kern, candidates=None):
+    """Evaluate measure once; score and argmax range over candidates
+    (default: the whole ground set)."""
     psi = as_psi(psi, kern)
-    lin = float(np.dot(measure.weights, psi.values[measure.ids])) if measure.atoms else 0.0
-    return lin - msr.norm_sq(measure, kern) / 2.0
-
-
-def topiaric_rate(measure, psi, kern):
-    """r = integral(psi - mu) d mu = integral(psi d mu) - ||mu||^2."""
-    psi = as_psi(psi, kern)
-    lin = float(np.dot(measure.weights, psi.values[measure.ids])) if measure.atoms else 0.0
-    return lin - msr.norm_sq(measure, kern)
-
-
-def margin(measure, psi, kern, x):
-    psi = as_psi(psi, kern)
-    return float(psi.values[int(x)]) - msr.mu_eval(measure, kern, int(x)) - topiaric_rate(
-        measure, psi, kern
-    )
-
-
-def margins(measure, psi, kern):
-    """Margin vector over the whole ground set."""
-    psi = as_psi(psi, kern)
-    mu_vals = kern.gram[:, measure.ids] @ measure.weights
-    return psi.values - mu_vals - topiaric_rate(measure, psi, kern)
-
-
-def score(measure, psi, kern, candidates=None):
-    """(sup margin, argmax id). Ties at the max margin go to the candidate
-    with the larger step gain iota^2 / (2 ||k_x - mu||^2), then lowest id."""
-    psi = as_psi(psi, kern)
-    iota = margins(measure, psi, kern)
     if candidates is None:
         cand = np.arange(kern.n)
     else:
         cand = np.asarray(sorted(candidates), dtype=int)
         if cand.size == 0:
             raise InvalidInput("score needs a non-empty candidate set")
-    vals = iota[cand]
-    best = float(vals.max())
-    tied = cand[vals == best]
-    if tied.size == 1:
-        return best, int(tied[0])
-    gains = np.array([step_gain(measure, psi, kern, int(x)) for x in tied])
-    return best, int(tied[int(np.argmax(gains))])
+    G = kern.gram
+    ids, w = measure.ids, measure.weights
+    mu = G[:, ids] @ w
+    lin = float(np.dot(w, psi.values[ids]))
+    nsq = max(0.0, float(w @ G[np.ix_(ids, ids)] @ w))
+    rate = lin - nsq
+    iota = psi.values - mu - rate
+    best, arg = _argmax(iota, cand, G, mu, nsq)
+    return MarginTable(
+        margins=iota,
+        rate=rate,
+        score=best,
+        objective=lin - nsq / 2.0,
+        norm_sq=nsq,
+        argmax=arg,
+        mu=mu,
+        lin=lin,
+    )
+
+
+def aesthetic_objective(measure, psi, kern):
+    return margin_table(measure, psi, kern).objective
+
+
+def topiaric_rate(measure, psi, kern):
+    """r = integral(psi - mu) d mu = integral(psi d mu) - ||mu||^2."""
+    return margin_table(measure, psi, kern).rate
+
+
+def margin(measure, psi, kern, x):
+    return float(margin_table(measure, psi, kern).margins[int(x)])
+
+
+def margins(measure, psi, kern):
+    """Margin vector over the whole ground set."""
+    return margin_table(measure, psi, kern).margins
+
+
+def score(measure, psi, kern, candidates=None):
+    """(sup margin, argmax id). Ties at a positive max margin go to the
+    larger step gain iota^2 / (2 ||k_x - mu||^2), a zero-length direction
+    first; ties left after that, or at a max margin <= 0, to the lowest id."""
+    table = margin_table(measure, psi, kern, candidates)
+    return table.score, table.argmax
 
 
 def step_gain(measure, psi, kern, x):
     """Objective gain of an exact line search toward delta_x."""
-    iota = margin(measure, psi, kern, x)
-    d2 = kern.gram[x, x] - 2.0 * msr.mu_eval(measure, kern, x) + msr.norm_sq(measure, kern)
-    if d2 <= _ZERO_NORM_TOL:
+    table = margin_table(measure, psi, kern)
+    x = int(x)
+    iota = float(table.margins[x])
+    d2 = float(kern.gram[x, x]) - 2.0 * float(table.mu[x]) + table.norm_sq
+    if d2 <= ZERO_TOL:
         # direction has no length; an actual step here is an error the
         # solver raises, but for ranking purposes the gain is unbounded
         return np.inf if iota > 0 else 0.0
@@ -140,44 +193,10 @@ def step_gain(measure, psi, kern, x):
 
 def beta(measure, kern, x):
     """mu(x) / ||mu||^2, the regression coefficient of x on the portfolio."""
-    ns = msr.norm_sq(measure, kern)
-    if ns <= _ZERO_NORM_TOL:
-        raise ZeroPortfolio("portfolio embeds to zero; beta undefined")
-    return msr.mu_eval(measure, kern, int(x)) / ns
+    return float(margin_table(measure, None, kern).betas()[int(x)])
 
 
 def alpha(measure, psi, kern, x):
-    """psi(x) - r - beta(x) (integral(psi d mu) - r).
-
-    Algebraically identical to the margin because the excess
-    integral(psi d mu) - r equals ||mu||^2; both formulas are kept and the
-    identity is asserted by tests rather than assumed.
-    """
+    """psi(x) - r - beta(x) (integral(psi d mu) - r); see MarginTable.alphas."""
     psi = as_psi(psi, kern)
-    r = topiaric_rate(measure, psi, kern)
-    lin = float(np.dot(measure.weights, psi.values[measure.ids]))
-    return float(psi.values[int(x)]) - r - beta(measure, kern, x) * (lin - r)
-
-
-@dataclass(frozen=True)
-class MarginTable:
-    margins: np.ndarray
-    rate: float
-    score: float
-    objective: float
-    norm_sq: float
-    argmax: int
-
-
-def margin_table(measure, psi, kern, candidates=None):
-    psi = as_psi(psi, kern)
-    iota = margins(measure, psi, kern)
-    s, arg = score(measure, psi, kern, candidates)
-    return MarginTable(
-        margins=iota,
-        rate=topiaric_rate(measure, psi, kern),
-        score=s,
-        objective=aesthetic_objective(measure, psi, kern),
-        norm_sq=msr.norm_sq(measure, kern),
-        argmax=arg,
-    )
+    return float(margin_table(measure, psi, kern).alphas(psi.values)[int(x)])

@@ -242,10 +242,9 @@ def optimize_portfolio(spec, config=None):
     psi, kern, constant = reduce_adaptive(corrected, kern)
     cfg = config if config is not None else SolveConfig(algorithm="second-greedy")
     result = solve(kern, psi, cfg)
-    sup = result.measure.support()
     weights = tuple(
         sorted(
-            ((corrected.labels[i], int(i), result.measure.weight_of(i)) for i in sup),
+            ((corrected.labels[i], i, w) for i, w in result.measure.atoms if w != 0.0),
             key=lambda t: (-t[2], t[1]),
         )
     )

@@ -33,6 +33,7 @@ import scipy.linalg
 
 from . import measure as msr
 from . import objective as obj
+from .objective import ZERO_TOL
 from .errors import (
     AccessibilityFailure,
     CycleDetected,
@@ -55,7 +56,6 @@ DECONSTRUCT_CAP = 16
 # singular; never regularized silently
 SINGULARITY_RTOL = 1e-10
 
-_TINY = 1e-14
 _DRIFT_EVERY = 256
 _DRIFT_TOL = 1e-9
 
@@ -65,7 +65,7 @@ ALGORITHMS = ("greedy", "second-greedy", "exchange")
 @dataclass
 class SolveConfig:
     algorithm: str = "exchange"
-    margin_tol: float = 1e-8
+    margin_tol: float = obj.DEFAULT_MARGIN_TOL
     weight_tol: float = 1e-10
     max_iter: int = 100000
     trace: bool = False
@@ -103,6 +103,22 @@ class TopiaryResult:
     algorithm: str
     margin_tol: float
     trace: Optional[Tuple[TraceRow, ...]] = None
+
+    @classmethod
+    def evaluate(cls, measure, psi, kern, margin_tol, iterations, algorithm, trace=None):
+        """The result for measure, read off one margin table."""
+        table = obj.margin_table(measure, psi, kern)
+        return cls(
+            measure=measure,
+            objective=table.objective,
+            rate=table.rate,
+            score=table.score,
+            index=tuple(int(i) for i in np.flatnonzero(np.abs(table.margins) <= margin_tol)),
+            iterations=iterations,
+            algorithm=algorithm,
+            margin_tol=margin_tol,
+            trace=trace,
+        )
 
     def support(self):
         return self.measure.support()
@@ -222,15 +238,8 @@ class SolverState:
         return self.psi_values - self.m - self.rate()
 
     def score_argmax(self):
-        """(max margin, argmax) over candidates; ties by step gain then id."""
-        iota = self.margins()[self.candidates]
-        best = float(iota.max())
-        tied = self.candidates[iota == best]
-        if tied.size > 1:
-            d2 = np.diag(self.G)[tied] - 2.0 * self.m[tied] + self.nsq
-            gains = np.where(d2 > _TINY, best * best / (2.0 * np.maximum(d2, _TINY)), np.inf)
-            tied = tied[gains == gains.max()]
-        return best, int(tied[0])
+        """(max margin, argmax) over candidates; ties as in margin_table."""
+        return obj._argmax(self.margins(), self.candidates, self.G, self.m, self.nsq)
 
     def converged(self):
         s, _ = self.score_argmax()
@@ -283,7 +292,7 @@ def _greedy_step_raw(state, minimum):
     if s <= minimum:
         raise InvalidInput("score %.3g is within tolerance; nothing to add" % s)
     d2 = float(state.G[x, x] - 2.0 * state.m[x] + state.nsq)
-    if d2 <= _TINY:
+    if d2 <= ZERO_TOL:
         raise DegenerateDirection(
             "candidate %d has margin %.3g but zero step length; Gram rows "
             "are inconsistent" % (x, s)
@@ -316,7 +325,7 @@ def prune(state):
         if sup.size < 2:
             break
         ws = state.w[sup]
-        feasible = ws < 1.0 - _TINY
+        feasible = ws < 1.0 - ZERO_TOL
         if not feasible.any():
             break
         ids = sup[feasible]
@@ -339,9 +348,6 @@ def prune(state):
     if dropped:
         state._record(None, dropped)
     return state
-
-
-_POLISH_TRIGGER = 1e-6
 
 
 def _try_polish(state):
@@ -503,13 +509,13 @@ def _exchange_core(G, psi_values, w, x, margin_tol, weight_tol):
         slope = float(psi_values[x]) - float(v @ psi_values[S]) - mu_d  # dO/dt at 0
         lin_coef = (float(G[x, x]) - nu_x) + (slope + mu_d) - 2.0 * mu_d
 
-        t_obj = slope / quad if quad > _TINY else (np.inf if slope > 0 else 0.0)
+        t_obj = slope / quad if quad > ZERO_TOL else (np.inf if slope > 0 else 0.0)
         t_zero = _smallest_positive_root(quad, lin_coef, iota0)
-        vpos = v > _TINY
+        vpos = v > ZERO_TOL
         t_pos = float((w[S][vpos] / v[vpos]).min()) if vpos.any() else np.inf
 
         t = min(t_pos, t_zero, t_obj)
-        if not np.isfinite(t) or t <= _TINY:
+        if not np.isfinite(t) or t <= ZERO_TOL:
             raise NoProgress(
                 "exchange step collapsed (t = %.3g) with margin %.3g at %d"
                 % (t, iota0, x)
@@ -534,11 +540,11 @@ def _exchange_core(G, psi_values, w, x, margin_tol, weight_tol):
 
 
 def _smallest_positive_root(a, b, c):
-    """Smallest root > _TINY of a t^2 - b t + c = 0, else inf."""
-    if abs(a) <= _TINY:
-        if b > _TINY:
+    """Smallest root > ZERO_TOL of a t^2 - b t + c = 0, else inf."""
+    if abs(a) <= ZERO_TOL:
+        if b > ZERO_TOL:
             t = c / b
-            return t if t > _TINY else np.inf
+            return t if t > ZERO_TOL else np.inf
         return np.inf
     disc = b * b - 4.0 * a * c
     if disc < 0.0:
@@ -546,7 +552,7 @@ def _smallest_positive_root(a, b, c):
     sq = float(np.sqrt(disc))
     roots = sorted(((b - sq) / (2 * a), (b + sq) / (2 * a)))
     for t in roots:
-        if t > _TINY:
+        if t > ZERO_TOL:
             return t
     return np.inf
 
@@ -595,157 +601,152 @@ def _round_sig(x, digits=12):
     return round(x, digits - 1 - int(floor(log10(abs(x)))))
 
 
-def _certificate_holds(m, psi, kern, tol):
-    iota = obj.margins(m, psi, kern)
-    sup = np.asarray(m.support(), dtype=int)
-    return float(iota.max()) <= tol and float(iota[sup].min()) >= -tol
+def _certificate_holds(result):
+    """Max margin within tolerance and every support margin in the index.
+
+    Every margin is at most the score, so a support margin is >= -tol
+    exactly when it lies in the index |margin| <= tol.
+    """
+    return result.score <= result.margin_tol and set(result.support()) <= set(result.index)
 
 
 def _finish(state, algorithm):
-    psi = state.psi
-    kern = state.kernel
-    tol = state.config.margin_tol
+    cfg = state.config
+    trace = tuple(state.trace) if state.trace is not None else None
+
+    def evaluate(m):
+        return TopiaryResult.evaluate(
+            m, state.psi, state.kernel, cfg.margin_tol, state.iterations, algorithm, trace
+        )
+
     m0 = state.measure()
-    m = msr.drop_small_atoms(m0, state.config.weight_tol)
-    if m is not m0 and _certificate_holds(m0, psi, kern, tol) and not _certificate_holds(
-        m, psi, kern, tol
-    ):
-        m = m0  # dropping a dust atom must not cost the certificate
-    iota = obj.margins(m, psi, kern)
-    return TopiaryResult(
-        measure=m,
-        objective=obj.aesthetic_objective(m, psi, kern),
-        rate=obj.topiaric_rate(m, psi, kern),
-        score=float(iota.max()),
-        index=tuple(int(i) for i in np.flatnonzero(np.abs(iota) <= tol)),
-        iterations=state.iterations,
-        algorithm=algorithm,
-        margin_tol=tol,
-        trace=tuple(state.trace) if state.trace is not None else None,
-    )
+    result = evaluate(msr.drop_small_atoms(m0, cfg.weight_tol))
+    if result.measure is not m0 and not _certificate_holds(result):
+        # dropping a dust atom must not cost the certificate
+        full = evaluate(m0)
+        if _certificate_holds(full):
+            result = full
+    return result
 
 
-def solve_greedy(kern, psi, config=None, candidates=None):
-    cfg = config if config is not None else SolveConfig(algorithm="greedy")
-    state = SolverState(kern, psi, cfg, candidates=candidates)
-    polished = None
-    while not state.converged():
-        if state.iterations >= cfg.max_iter:
-            partial = _finish(state, "greedy")
-            raise MaxIterExceeded(
-                "greedy hit max_iter %d with score %.3g" % (cfg.max_iter, partial.score),
-                result=partial,
-            )
-        s, _ = state.score_argmax()
-        if s <= _POLISH_TRIGGER:
-            key = frozenset(int(i) for i in state.support())
-            if key != polished:
-                polished = key
-                if _try_polish(state):
-                    continue
-        if s <= 0.0:
-            raise NoProgress("certificate failed yet no ascent direction, score %.3g" % s)
-        _greedy_step_raw(state, 0.0)
-    return _finish(state, "greedy")
+# -- one solve loop, one step per algorithm -----------------------------------
+#
+# Each step advances a state whose certificate failed, given its score s and
+# argmax x. The loop owns the iteration budget, the hedge polish (tried
+# once per support, whenever the score is at most the algorithm's trigger)
+# and the finish.
+
+_GREEDY_POLISH_BELOW = 1e-6
 
 
-def solve_second_greedy(kern, psi, config=None, candidates=None):
-    cfg = config if config is not None else SolveConfig(algorithm="second-greedy")
-    state = SolverState(kern, psi, cfg, candidates=candidates)
-    polished = None
-    while not state.converged():
-        if state.iterations >= cfg.max_iter:
-            partial = _finish(state, "second-greedy")
-            raise MaxIterExceeded(
-                "second-greedy hit max_iter %d with score %.3g"
-                % (cfg.max_iter, partial.score),
-                result=partial,
-            )
-        s, _ = state.score_argmax()
-        # the snap outcome depends only on the support set, so retrying on
-        # an unchanged support would just repeat the same rejection
-        key = frozenset(int(i) for i in state.support())
-        if key != polished:
-            polished = key
-            if _try_polish(state):
-                continue
-        if s > cfg.margin_tol:
-            _greedy_step_raw(state, 0.0)
-            prune(state)
-            continue
+def _step_greedy(state, s, x):
+    if s <= 0.0:
+        raise NoProgress("certificate failed yet no ascent direction, score %.3g" % s)
+    _greedy_step_raw(state, 0.0)
+
+
+# second-greedy tries the snap on every new support, whatever the score
+_SECOND_GREEDY_POLISH_BELOW = np.inf
+
+
+def _step_second_greedy(state, s, x):
+    if s <= state.config.margin_tol:
         # score within tolerance but a support margin is under -tol
         before = state.support().size
         prune(state)
         if state.support().size < before:
-            continue
-        if s <= 0.0:
-            raise NoProgress("certificate failed yet no ascent direction, score %.3g" % s)
-        _greedy_step_raw(state, 0.0)
+            return
+    _step_greedy(state, s, x)
+    prune(state)
+
+
+_EXCHANGE_POLISH_BELOW = 1e-6
+
+
+def _step_exchange(state, s, x):
+    cfg = state.config
+    if s <= cfg.margin_tol:
+        # certificate failed on the support side only; exchange cannot
+        # be driven by a non-positive margin, but a prune pass can
+        before_sup = state.support().size
         prune(state)
-    return _finish(state, "second-greedy")
+        if state.support().size == before_sup:
+            raise NoProgress(
+                "score %.3g under tolerance with support margin %.3g"
+                % (s, float(state.margins()[state.support()].min()))
+            )
+        return
+    before = state.objective()
+    try:
+        dropped, _, _ = _exchange_core(
+            state.G, state.psi_values, state.w, x, cfg.margin_tol, cfg.weight_tol
+        )
+    except NotPrunable:
+        greedy_step(state)
+        return
+    state._refresh_caches()
+    state.iterations += 1
+    state._check_monotone(before, state.objective(), "exchange")
+    state._record(x, dropped)
 
 
-def solve_exchange(kern, psi, config=None, candidates=None):
-    cfg = config if config is not None else SolveConfig(algorithm="exchange")
+_STEPS = {
+    "greedy": (_step_greedy, _GREEDY_POLISH_BELOW),
+    "second-greedy": (_step_second_greedy, _SECOND_GREEDY_POLISH_BELOW),
+    "exchange": (_step_exchange, _EXCHANGE_POLISH_BELOW),
+}
+
+
+def _drive(algorithm, kern, psi, config, candidates):
+    cfg = config if config is not None else SolveConfig(algorithm=algorithm)
     state = SolverState(kern, psi, cfg, candidates=candidates)
+    step, polish_below = _STEPS[algorithm]
     seen = set()
     polished = None
     while not state.converged():
         if state.iterations >= cfg.max_iter:
-            partial = _finish(state, "exchange")
+            partial = _finish(state, algorithm)
             raise MaxIterExceeded(
-                "exchange hit max_iter %d with score %.3g" % (cfg.max_iter, partial.score),
+                "%s hit max_iter %d with score %.3g" % (algorithm, cfg.max_iter, partial.score),
                 result=partial,
             )
-        key = (frozenset(int(i) for i in state.support()), _round_sig(state.objective()))
-        if key in seen:
-            raise CycleDetected(
-                "exchange revisited a support/objective pair", result=_finish(state, "exchange")
-            )
-        seen.add(key)
+        if algorithm == "exchange":
+            # greedy ascent cannot come back to a state; an exchange can
+            key = (frozenset(int(i) for i in state.support()), _round_sig(state.objective()))
+            if key in seen:
+                raise CycleDetected(
+                    "exchange revisited a support/objective pair",
+                    result=_finish(state, algorithm),
+                )
+            seen.add(key)
         s, x = state.score_argmax()
-        if s <= _POLISH_TRIGGER:
+        if s <= polish_below:
+            # the snap outcome depends only on the support set, so retrying on
+            # an unchanged support would just repeat the same rejection
             key = frozenset(int(i) for i in state.support())
             if key != polished:
                 polished = key
                 if _try_polish(state):
                     continue
-        if s <= cfg.margin_tol:
-            # certificate failed on the support side only; exchange cannot
-            # be driven by a non-positive margin, but a prune pass can
-            before_sup = state.support().size
-            prune(state)
-            if state.support().size == before_sup:
-                raise NoProgress(
-                    "score %.3g under tolerance with support margin %.3g"
-                    % (s, float(state.margins()[state.support()].min()))
-                )
-            continue
-        before = state.objective()
-        try:
-            dropped, _, _ = _exchange_core(
-                state.G, state.psi_values, state.w, x, cfg.margin_tol, cfg.weight_tol
-            )
-        except NotPrunable:
-            greedy_step(state)
-            continue
-        state._refresh_caches()
-        state.iterations += 1
-        state._check_monotone(before, state.objective(), "exchange")
-        state._record(x, dropped)
-    return _finish(state, "exchange")
+        step(state, s, x)
+    return _finish(state, algorithm)
 
 
-_SOLVERS = {
-    "greedy": solve_greedy,
-    "second-greedy": solve_second_greedy,
-    "exchange": solve_exchange,
-}
+def solve_greedy(kern, psi, config=None, candidates=None):
+    return _drive("greedy", kern, psi, config, candidates)
+
+
+def solve_second_greedy(kern, psi, config=None, candidates=None):
+    return _drive("second-greedy", kern, psi, config, candidates)
+
+
+def solve_exchange(kern, psi, config=None, candidates=None):
+    return _drive("exchange", kern, psi, config, candidates)
 
 
 def solve(kern, psi, config=None):
     cfg = config if config is not None else SolveConfig()
-    return _SOLVERS[cfg.algorithm](kern, psi, cfg)
+    return _drive(cfg.algorithm, kern, psi, cfg, None)
 
 
 def solve_subset(kern, psi, subset, config=None):
@@ -760,9 +761,7 @@ def is_topiaric_index(kern, psi, B, config=None):
     psi = obj.as_psi(psi, kern)
     cfg = config if config is not None else SolveConfig()
     ids = _validate_subset(kern, B)
-    result = solve_subset(kern, psi, ids, cfg)
-    iota = obj.margins(result.measure, psi, kern)
-    return float(np.max(np.abs(iota[ids]))) <= cfg.margin_tol
+    return set(ids) <= set(solve_subset(kern, psi, ids, cfg).index)
 
 
 def construction_ordering(kern, psi, K, config=None, deconstruct_cap=DECONSTRUCT_CAP):
@@ -848,16 +847,6 @@ def oracle_solve(kern, psi, K=None, config=None):
     if best is None:
         raise NoProgress("oracle found no feasible support; input is inconsistent")
     _, sel, v = best
-    m = msr.probability(sel, v)
-    iota = obj.margins(m, psi, kern)
-    return TopiaryResult(
-        measure=m,
-        objective=obj.aesthetic_objective(m, psi, kern),
-        rate=obj.topiaric_rate(m, psi, kern),
-        score=float(iota.max()),
-        index=tuple(int(i) for i in np.flatnonzero(np.abs(iota) <= cfg.margin_tol)),
-        iterations=examined,
-        algorithm="oracle",
-        margin_tol=cfg.margin_tol,
-        trace=None,
+    return TopiaryResult.evaluate(
+        msr.probability(sel, v), psi, kern, cfg.margin_tol, examined, "oracle"
     )

@@ -168,9 +168,13 @@ def test_outputs_are_byte_identical_across_runs(problem_file, tmp_path, capsys):
         rc = cli.run(["solve", "--input", problem_file,
                       "--output", str(out), "--trace", str(trace)])
         assert rc == 0
-        paths.append((out, trace))
-    assert paths[0][0].read_bytes() == paths[1][0].read_bytes()
-    assert paths[0][1].read_bytes() == paths[1][1].read_bytes()
+        capm, jc, sml = (tmp_path / ("%s_%s.csv" % (kind, tag)) for kind in ("capm", "jc", "sml"))
+        rc = cli.run(["diagnose", "--input", problem_file, "--solution", str(out),
+                      "--capm", str(capm), "--jc", str(jc), "--sml", str(sml)])
+        assert rc == 0
+        paths.append((out, trace, capm, jc, sml))
+    for first, second in zip(*paths):
+        assert first.read_bytes() == second.read_bytes()
 
 
 def test_input_file_is_not_mutated(problem_file, tmp_path, capsys):

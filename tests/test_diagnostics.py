@@ -106,8 +106,61 @@ def test_jc_flags_violating_measure(zigzag, zigzag_psi):
         margin_tol=1e-8,
         trace=None,
     )
-    with pytest.raises(tp.InvariantViolation):
+    # the first broken pair in row order: from base 1 to y = 0, psi slope 0
+    # above mu slope (2 - 4) / sqrt(10)
+    with pytest.raises(tp.InvariantViolation, match=r"at \(1,0\): psi 0 > mu -0\.632"):
         tp.jc_report(fake, zigzag, zigzag_psi, base_points=[1])
+
+
+def test_reports_match_per_point_reference():
+    """Every capm, jc and sml row against the per-point functions, on an
+    optimum wide enough (support >= 16) that BLAS sums the report's mu
+    vector in blocks rather than in mu_eval's order."""
+    kern, psi = random_instance(np.random.default_rng(54), 40)
+    r = tp.solve(kern, psi)
+    mu = r.measure
+    assert len(mu.support()) >= 16
+    tol = r.margin_tol
+    atol = 1e-12 * float(np.abs(kern.gram).max())
+    values = tp.as_psi(psi, kern).values
+    ref_mu = np.array([tp.mu_eval(mu, kern, i) for i in range(kern.n)])
+    nsq = tp.norm_sq(mu, kern)
+    lin = float(mu.weights @ values[mu.ids])
+    rate = lin - nsq
+    ref_margin = values - ref_mu - rate
+
+    rows = tp.capm_report(r, kern, psi)
+    assert [row.point_id for row in rows] == list(range(kern.n))
+    for row in rows:
+        i = row.point_id
+        ref_beta = ref_mu[i] / nsq
+        ref_alpha = values[i] - rate - ref_beta * (lin - rate)  # regression form
+        assert row.psi == values[i]
+        assert row.mu_value == pytest.approx(ref_mu[i], abs=atol)
+        assert row.beta == pytest.approx(ref_beta, abs=atol)
+        assert row.beta == pytest.approx(tp.beta(mu, kern, i), abs=atol)
+        assert row.alpha_margin == pytest.approx(ref_alpha, abs=atol)
+        assert row.alpha_margin == pytest.approx(tp.alpha(mu, psi, kern, i), abs=atol)
+        assert row.alpha_margin == pytest.approx(ref_margin[i], abs=atol)
+        assert row.in_index == (abs(row.alpha_margin) <= tol)
+
+    jc = tp.jc_report(r, kern, psi)
+    bases = [i for i in range(kern.n) if abs(ref_margin[i]) <= tol]
+    assert len(jc) == len(bases) * (kern.n - 1)
+    for row in jc:
+        d = kern.embed_distance(row.x, row.y)
+        assert row.d == d
+        assert row.psi_slope == (values[row.y] - values[row.x]) / d
+        assert row.mu_slope == pytest.approx((ref_mu[row.y] - ref_mu[row.x]) / d, abs=atol)
+
+    rep = tp.sml_points(r, kern, psi)
+    assert rep.rate == r.rate and rep.objective == r.objective
+    assert rep.mu_norm == math.sqrt(nsq)
+    for p in rep.points:
+        assert p.x_coord == pytest.approx(ref_mu[p.point_id], abs=atol)
+        assert p.y_coord == values[p.point_id]
+        in_index = abs(ref_margin[p.point_id]) <= tol
+        assert p.classification == ("index" if in_index else "interior-of-K")
 
 
 def test_jc_embedded_psi_lower_bound(zigzag):

@@ -183,3 +183,14 @@ def test_probability_constructor_clamps_roundoff():
 def test_embedded_distance_matches_kernel_metric(zigzag):
     d = tp.embedded_distance(tp.delta(1), tp.delta(2), zigzag)
     assert d == pytest.approx(zigzag.embed_distance(1, 2), abs=1e-14)
+
+
+def test_atom_arrays_are_built_once_and_read_only():
+    mu = tp.probability([3, 1], [0.25, 0.75])
+    assert mu.ids is mu.ids and mu.weights is mu.weights
+    assert mu.ids.tolist() == [1, 3] and mu.weights.tolist() == [0.75, 0.25]
+    with pytest.raises(ValueError):
+        mu.weights[0] = 1.0
+    assert mu.weight_of(3) == 0.25 and mu.weight_of(2) == 0.0
+    same = tp.AtomicMeasure(((1, 0.75), (3, 0.25)))
+    assert mu == same and hash(mu) == hash(same)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,22 @@ def test_score_gain_tie_break(zigzag, zigzag_psi):
     assert arg == 2
     assert tp.step_gain(tp.delta(1), zigzag_psi, zigzag, 0) == pytest.approx(0.2)
     assert tp.step_gain(tp.delta(1), zigzag_psi, zigzag, 2) == pytest.approx(0.4)
+
+
+def test_score_tie_rule_shared_with_solver():
+    # margins tie at 0 on both points; delta_1 sits on point 1, whose
+    # direction has zero length. With no positive margin the lowest id wins.
+    k = tp.explicit_gram(np.eye(2))
+    psi = tp.PsiSpec.table([0.0, 1.0])
+    mu = tp.delta(1)
+    assert tp.score(mu, psi, k) == (0.0, 0)
+    assert tp.margin_table(mu, psi, k).argmax == 0
+    assert tp.SolverState(k, psi, start=mu).score_argmax() == (0.0, 0)
+    # a positive tied margin ranks the zero-length direction first
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", tp.DuplicatePointsWarning)
+        k = tp.explicit_gram([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    assert tp.score(tp.delta(0), tp.PsiSpec.table([0.0, 1.0, 0.0]), k) == (1.0, 1)
 
 
 def test_score_nonpositive_at_optimum(zigzag, zigzag_psi):
