@@ -22,7 +22,6 @@ from . import objective as obj
 from . import portfolio as pf
 from . import solver as slv
 from .errors import InvalidInput, TopiaryError, exit_code_for
-from .measure import AtomicMeasure
 
 log = logging.getLogger("topiary")
 
@@ -231,22 +230,10 @@ def _cmd_deconstruct(args):
     return 0
 
 
-def _load_solution(path):
-    payload = fm._load_json(path)
-    if "atoms" in payload:
-        return fm.read_measure(path)
-    if "weights" in payload:
-        atoms = tuple(
-            (int(e["point"]), float(e["weight"])) for e in payload["weights"]
-        )
-        return AtomicMeasure(atoms)
-    raise InvalidInput("%s has neither atoms nor weights" % path)
-
-
 def _cmd_diagnose(args):
     _check_paths([args.input, args.solution], [args.capm, args.jc, args.sml])
     kern, psi = fm.read_problem(args.input)
-    measure = _load_solution(args.solution)
+    measure = fm.read_measure(args.solution)
     table = obj.margin_table(measure, psi, kern)
     if args.capm:
         fm.atomic_write_text(
@@ -255,7 +242,10 @@ def _cmd_diagnose(args):
     if args.jc:
         base = None
         if args.base:
-            base = [int(tok) for tok in args.base.split(",") if tok.strip()]
+            try:
+                base = [int(tok) for tok in args.base.split(",") if tok.strip()]
+            except ValueError:
+                raise InvalidInput("--base must list point ids, got %r" % args.base) from None
         fm.atomic_write_text(
             args.jc, fm.jc_csv(dgn.jc_report(measure, kern, psi, base_points=base))
         )

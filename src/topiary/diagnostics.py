@@ -131,6 +131,8 @@ def jc_report(result, kern, psi, K=None, base_points=None):
         base_points = ids[np.abs(iota[ids]) <= tol].tolist()
     bases = sorted(int(b) for b in base_points)
     for b in bases:
+        if not 0 <= b < kern.n:
+            raise BaseNotInIndex("base point %d is not one of the %d points" % (b, kern.n))
         if abs(float(iota[b])) > tol:
             raise BaseNotInIndex(
                 "point %d has margin %.3g; slope rows start from index points only"

@@ -158,18 +158,48 @@ def write_problem(path, kern, psi=None):
     write_json(path, problem_payload(kern, psi))
 
 
-def _parse_points(raw, to_complex):
-    pts = []
+# -- strict field readers ----------------------------------------------------
+
+def _number(value, path, field, kind=float):
+    """kind(value), or an InvalidInput naming the file and the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInput(
+            "%s: %s must be a number, got %r" % (path, field, value)
+        ) from None
+
+
+def _floats(raw, path, field, ndim=1):
+    """A non-empty float array with ndim axes and finite entries (rows of a
+    2-d field must have equal lengths), or an InvalidInput naming the file
+    and the field."""
+    try:
+        arr = np.array(raw, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != ndim or arr.size == 0 or not np.isfinite(arr).all():
+        raise InvalidInput(
+            "%s: %s must be a non-empty %s of finite numbers"
+            % (path, field, "list" if ndim == 1 else "list of equal-length rows")
+        )
+    return arr
+
+
+def _atoms(raw, path, field):
+    """(point id, weight) pairs from a list of {"point", "weight"} objects."""
+    if not isinstance(raw, list):
+        raise InvalidInput("%s: %s must be a list of atoms" % (path, field))
+    atoms = []
     for i, entry in enumerate(raw):
-        if not isinstance(entry, (list, tuple)) or not entry:
-            raise InvalidInput("kernel point %d must be a coordinate list" % i)
-        if to_complex:
-            if len(entry) != 2:
-                raise InvalidInput("kernel point %d needs [re, im]" % i)
-            pts.append(complex(float(entry[0]), float(entry[1])))
-        else:
-            pts.append([float(v) for v in entry])
-    return pts
+        where = "%s[%d]" % (field, i)
+        if not isinstance(entry, dict) or "point" not in entry or "weight" not in entry:
+            raise InvalidInput("%s: %s needs point and weight" % (path, where))
+        atoms.append((
+            _number(entry["point"], path, where + ".point", int),
+            _number(entry["weight"], path, where + ".weight"),
+        ))
+    return tuple(atoms)
 
 
 def read_problem(path):
@@ -181,15 +211,13 @@ def read_problem(path):
     ktype = block.get("type")
     labels = block.get("labels")
     if ktype == "gram":
-        gram = block.get("gram")
-        if gram is None:
-            raise InvalidInput("%s: gram kernel needs a gram matrix" % path)
-        kern = krn.explicit_gram(gram, labels=labels)
+        kern = krn.explicit_gram(_floats(block.get("gram"), path, "gram", 2), labels=labels)
     elif ktype in ("euclidean", "fock", "hardy"):
-        raw = block.get("points")
-        if raw is None:
-            raise InvalidInput("%s: %s kernel needs points" % (path, ktype))
-        pts = _parse_points(raw, to_complex=ktype != "euclidean")
+        pts = _floats(block.get("points"), path, "points", 2)
+        if ktype != "euclidean":
+            if pts.shape[1] != 2:
+                raise InvalidInput("%s: %s points need [re, im]" % (path, ktype))
+            pts = [complex(a, b) for a, b in pts.tolist()]
         kern = getattr(krn, ktype)(pts, labels=labels)
     else:
         raise InvalidInput("%s: unknown kernel type %r" % (path, ktype))
@@ -197,11 +225,12 @@ def read_problem(path):
     if values is None:
         psi = obj.PsiSpec.zero(kern)
     else:
-        if not isinstance(values, list) or len(values) != kern.n:
+        values = _floats(values, path, "psi")
+        if len(values) != kern.n:
             raise InvalidInput(
                 "%s: psi must list one value per point (%d)" % (path, kern.n)
             )
-        psi = obj.PsiSpec.table([float(v) for v in values])
+        psi = obj.PsiSpec.table(values)
     return kern, psi
 
 
@@ -221,17 +250,14 @@ def write_measure(path, measure):
 
 
 def read_measure(path):
+    """A measure file (atoms and kind), or a result file whose weights are
+    the solved probability measure."""
     payload = _load_json(path)
-    raw = payload.get("atoms")
-    if not isinstance(raw, list):
-        raise InvalidInput("%s: missing atoms list" % path)
-    atoms = []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict) or "point" not in entry or "weight" not in entry:
-            raise InvalidInput("%s: atom %d needs point and weight" % (path, i))
-        atoms.append((int(entry["point"]), float(entry["weight"])))
+    field = "atoms" if "atoms" in payload else "weights"
+    if field not in payload:
+        raise InvalidInput("%s has neither atoms nor weights" % path)
     kind = payload.get("kind", msr.PROBABILITY)
-    return msr.AtomicMeasure(tuple(atoms), kind=kind)
+    return msr.AtomicMeasure(_atoms(payload[field], path, field), kind=kind)
 
 
 # -- result JSON -------------------------------------------------------------
@@ -381,20 +407,16 @@ def read_portfolio_spec(path):
             raise InvalidInput("%s: portfolio spec needs %r" % (path, key))
     reference = payload.get("reference")
     if reference is not None:
-        atoms = tuple((int(a["point"]), float(a["weight"])) for a in reference)
-        reference = msr.AtomicMeasure(atoms)
+        reference = msr.AtomicMeasure(_atoms(reference, path, "reference"))
     kwargs = {}
-    for key in ("risk_free_rate", "mean_shrink", "var_inflate"):
+    for key, kind in (("risk_free_rate", float), ("mean_shrink", float),
+                      ("var_inflate", float), ("annualize_factor", int), ("rf_index", int)):
         if payload.get(key) is not None:
-            kwargs[key] = float(payload[key])
-    if payload.get("annualize_factor") is not None:
-        kwargs["annualize_factor"] = int(payload["annualize_factor"])
-    if payload.get("rf_index") is not None:
-        kwargs["rf_index"] = int(payload["rf_index"])
+            kwargs[key] = _number(payload[key], path, key, kind)
     return pf.PortfolioSpec(
         labels=tuple(str(v) for v in payload["labels"]),
-        mean=payload["mean"],
-        covariance=payload["covariance"],
+        mean=_floats(payload["mean"], path, "mean"),
+        covariance=_floats(payload["covariance"], path, "covariance", 2),
         reference=reference,
         **kwargs,
     )

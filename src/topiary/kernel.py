@@ -1,12 +1,15 @@
 """Ground sets and reproducing-kernel pairings.
 
-Four kernel variants: an explicit Gram matrix, Euclidean dot products,
-the real Fock kernel Re e^{z conj(w)}, and the real Hardy kernel
-Re (1 + z conj(w)) / (1 - z conj(w)) on the open unit disk. A Kernel owns
-its finite ground set; the Gram matrix is built once at construction and
-validated positive semidefinite by eigendecomposition so the offending
-eigenvalue can be reported. No silent jitter: callers who want diagonal
-loading must ask for it explicitly.
+Four kernel variants: an explicit Gram matrix, Euclidean dot products, the
+real Fock kernel Re e^{z conj(w)}, and the real Hardy kernel
+Re (1 + z conj(w)) / (1 - z conj(w)) on the open unit disk. Each coordinate
+variant has one pairing function, vectorized and carrying the variant's
+domain guard; the Gram, `Kernel.row` and `Kernel.eval` all call it.
+
+Every Gram or covariance matrix passes one gate, `checked_gram`, which
+reports the offending eigenvalue. No silent jitter: callers who want
+diagonal loading must ask for it explicitly. A Kernel owns its finite
+ground set; its Gram and its duplicate groups are computed once.
 """
 
 from dataclasses import dataclass
@@ -23,6 +26,8 @@ FOCK_EXPONENT_GUARD = 700.0
 
 DEFAULT_PSD_TOL = 1e-9
 
+_ID_TYPES = (int, np.integer)
+
 
 @dataclass(frozen=True)
 class Point:
@@ -38,24 +43,57 @@ def _as_complex_array(points):
     return pts.astype(complex).reshape(-1)
 
 
-def _fock_pair(z, w):
-    u = z * np.conj(w)
-    if abs(u) > FOCK_EXPONENT_GUARD:
+# f(A, B)[i, j] = k(A[i], B[j]); a single point (a vector for euclidean, a
+# complex scalar for fock/hardy) as A or B drops that axis.
+
+def euclidean_pairing(A, B):
+    return A @ B.T
+
+
+def fock_pairing(A, B):
+    U = np.multiply.outer(A, np.conj(B))
+    big = float(np.max(np.abs(U), initial=0.0))
+    if big > FOCK_EXPONENT_GUARD:
         raise DomainError(
-            "fock kernel overflow: |z*conj(w)| = %g exceeds %g "
-            "(max admissible point radius %.4f)"
-            % (abs(u), FOCK_EXPONENT_GUARD, np.sqrt(FOCK_EXPONENT_GUARD))
+            "fock kernel overflow: |z*conj(w)| = %g exceeds %g (max admissible "
+            "point radius %.4f)" % (big, FOCK_EXPONENT_GUARD, np.sqrt(FOCK_EXPONENT_GUARD))
         )
-    # explicit e^a (cos b + i sin b) decomposition, real part only
-    return np.exp(u.real) * np.cos(u.imag)
+    return np.exp(U.real) * np.cos(U.imag)
 
 
-def _hardy_pair(z, w):
-    for p in (z, w):
-        if abs(p) >= 1.0:
-            raise DomainError("hardy kernel requires |z| < 1, got |z| = %g" % abs(p))
-    u = z * np.conj(w)
-    return ((1.0 + u) / (1.0 - u)).real
+def hardy_pairing(A, B):
+    for P in (A, B):
+        radius = float(np.max(np.abs(P), initial=0.0))
+        if radius >= 1.0:
+            raise DomainError("hardy kernel requires |z| < 1, got |z| = %g" % radius)
+    U = np.multiply.outer(A, np.conj(B))
+    return ((1.0 + U) / (1.0 - U)).real
+
+
+PAIRINGS = {"euclidean": euclidean_pairing, "fock": fock_pairing, "hardy": hardy_pairing}
+
+
+def checked_gram(matrix, psd_tol=DEFAULT_PSD_TOL):
+    """The symmetrized matrix, once its entries are finite and
+    max|G - G'| <= 1e-12 * max(1, max|G|) (else InvalidInput) and its lowest
+    eigenvalue is at least -psd_tol * max|diag|, the scale being 1 for a
+    zero diagonal (else NonPSD carrying that eigenvalue)."""
+    G = np.asarray(matrix, dtype=float)
+    if not np.isfinite(G).all():
+        raise InvalidInput("gram matrix has non-finite entries")
+    skew = float(np.max(np.abs(G - G.T), initial=0.0))
+    if skew > 1e-12 * max(1.0, float(np.max(np.abs(G), initial=0.0))):
+        raise InvalidInput("gram matrix is not symmetric (skew %.3g)" % skew)
+    G = (G + G.T) / 2.0
+    diag_scale = float(np.max(np.abs(np.diag(G)), initial=0.0)) or 1.0
+    lowest = float(np.linalg.eigvalsh(G).min(initial=0.0))
+    if lowest < -psd_tol * diag_scale:
+        raise NonPSD(
+            "gram matrix is not positive semidefinite: "
+            "eigenvalue %g < -%g * %g" % (lowest, psd_tol, diag_scale),
+            eigenvalue=lowest,
+        )
+    return G
 
 
 class Kernel:
@@ -74,45 +112,31 @@ class Kernel:
         self.diagonal_load = float(diagonal_load)
         self._coords = _coords
 
-        G = np.array(gram, dtype=float)
+        G = np.asarray(gram, dtype=float)
         if G.ndim != 2 or G.shape[0] != G.shape[1]:
             raise InvalidInput("gram matrix must be square, got shape %s" % (G.shape,))
         if G.shape[0] != len(self.points):
             raise InvalidInput(
                 "gram size %d does not match %d points" % (G.shape[0], len(self.points))
             )
-        scale = max(1.0, float(np.max(np.abs(G))) if G.size else 1.0)
-        if float(np.max(np.abs(G - G.T))) > 1e-12 * scale:
-            raise InvalidInput("gram matrix is not symmetric")
-        G = (G + G.T) / 2.0
+        if G.size == 0:
+            raise InvalidInput("ground set is empty")
         if self.diagonal_load:
             G = G + self.diagonal_load * np.eye(G.shape[0])
-
-        self._validate_psd(G)
+        G = checked_gram(G, self.psd_tol)
         G.setflags(write=False)
         self._gram = G
 
-        dups = self.duplicate_groups()
-        if dups:
+        keys = {}
+        for i, row in enumerate(np.round(G, 12)):
+            keys.setdefault(row.tobytes(), []).append(i)
+        self._duplicates = [ids for ids in keys.values() if len(ids) > 1]
+        if self._duplicates:
             warnings.warn(
                 "ground set contains %d group(s) of duplicate points (equal "
-                "Gram rows); solvers deduplicate before optimizing" % len(dups),
+                "Gram rows); solvers deduplicate before optimizing" % len(self._duplicates),
                 DuplicatePointsWarning,
                 stacklevel=2,
-            )
-
-    def _validate_psd(self, G):
-        if G.size == 0:
-            raise InvalidInput("ground set is empty")
-        diag_scale = float(np.max(np.abs(np.diag(G))))
-        if diag_scale == 0.0:
-            diag_scale = 1.0
-        eigs = np.linalg.eigvalsh(G)
-        if eigs[0] < -self.psd_tol * diag_scale:
-            raise NonPSD(
-                "gram matrix is not positive semidefinite: "
-                "eigenvalue %g < -%g * %g" % (eigs[0], self.psd_tol, diag_scale),
-                eigenvalue=float(eigs[0]),
             )
 
     # -- basic queries ----------------------------------------------------
@@ -133,66 +157,39 @@ class Kernel:
     def labels(self):
         return [p.label for p in self.points]
 
-    def _resolve(self, x):
-        """Accept a ground id or raw coordinates (coordinate variants only).
+    def _id(self, x):
+        i = int(x)
+        if not 0 <= i < self.n:
+            raise InvalidInput("point id %d outside ground set of size %d" % (i, self.n))
+        return i
 
-        Returns ('id', i) or ('coord', value).
-        """
-        if isinstance(x, (int, np.integer)):
-            i = int(x)
-            if not 0 <= i < self.n:
-                raise InvalidInput("point id %d outside ground set of size %d" % (i, self.n))
-            return "id", i
-        if self.variant == "explicit-gram":
-            raise InvalidInput("explicit-gram kernels only evaluate at ground ids")
+    def _point(self, x):
+        """Coordinates of a ground id, or raw coordinates of a point that may
+        lie off the ground set; coordinate variants only."""
+        if self.variant not in PAIRINGS:
+            raise InvalidInput("%s kernels only evaluate at ground ids" % self.variant)
+        if isinstance(x, _ID_TYPES):
+            return self._coords[self._id(x)]
         if self.variant == "euclidean":
-            return "coord", np.asarray(x, dtype=float)
-        return "coord", complex(x[0], x[1]) if isinstance(x, (tuple, list)) else complex(x)
+            return np.asarray(x, dtype=float)
+        return complex(x[0], x[1]) if isinstance(x, (tuple, list)) else complex(x)
 
     def eval(self, x, y):
         """k(x, y); x and y are ground ids or, for coordinate variants,
         raw coordinates."""
-        kx, vx = self._resolve(x)
-        ky, vy = self._resolve(y)
-        if kx == "id" and ky == "id":
-            return float(self._gram[vx, vy])
-        if kx == "id":
-            vx = self._coords[vx]
-        if ky == "id":
-            vy = self._coords[vy]
-        if self.variant == "euclidean":
-            return float(np.dot(vx, vy))
-        if self.variant == "fock":
-            return float(_fock_pair(vx, vy))
-        if self.variant == "hardy":
-            return float(_hardy_pair(vx, vy))
-        raise InvalidInput("unknown kernel variant %r" % self.variant)
+        if isinstance(x, _ID_TYPES) and isinstance(y, _ID_TYPES):
+            return float(self._gram[self._id(x), self._id(y)])
+        a, b = self._point(x), self._point(y)
+        return float(PAIRINGS[self.variant](a, b))
 
     def row(self, z):
-        """Vector of k(x_i, z) over the ground set, z a raw coordinate.
-
-        Only coordinate variants can leave the ground set; used for sampling
-        embedded functions on a grid.
-        """
-        kind, v = self._resolve(z)
-        if kind == "id":
-            return np.array(self._gram[:, v])
-        if self.variant == "euclidean":
-            return self._coords @ v
-        if self.variant == "fock":
-            u = self._coords * np.conj(v)
-            if float(np.max(np.abs(u), initial=0.0)) > FOCK_EXPONENT_GUARD:
-                raise DomainError(
-                    "fock kernel overflow at query point (max admissible "
-                    "radius %.4f)" % np.sqrt(FOCK_EXPONENT_GUARD)
-                )
-            return np.exp(u.real) * np.cos(u.imag)
-        if self.variant == "hardy":
-            if abs(v) >= 1.0:
-                raise DomainError("hardy kernel requires |z| < 1, got |z| = %g" % abs(v))
-            u = self._coords * np.conj(v)
-            return ((1.0 + u) / (1.0 - u)).real
-        raise InvalidInput("unknown kernel variant %r" % self.variant)
+        """Vector of k(x_i, z) over the ground set; z is a ground id or, for
+        coordinate variants, raw coordinates (used for sampling embedded
+        functions on a grid)."""
+        if isinstance(z, _ID_TYPES):
+            return np.array(self._gram[:, self._id(z)])
+        b = self._point(z)
+        return PAIRINGS[self.variant](self._coords, b)
 
     def embed_distance(self, x, y):
         """||k_x - k_y||, the embedded metric. Clamped at zero from below
@@ -203,19 +200,14 @@ class Kernel:
         return float(np.sqrt(max(0.0, kxx - 2.0 * kxy + kyy)))
 
     def duplicate_groups(self):
-        """Groups of ids whose Gram rows agree within 1e-12 (quantized).
+        """Groups of ids whose Gram rows agree within 1e-12 (quantized),
+        found once at construction.
 
         Singleton groups are omitted. Solvers collapse each group to one
         representative before optimizing; equal margins on duplicates
         otherwise cause needless exchange cycles.
         """
-        if self.n == 0:
-            return []
-        keys = {}
-        quant = np.round(self._gram, 12)
-        for i in range(self.n):
-            keys.setdefault(quant[i].tobytes(), []).append(i)
-        return [ids for ids in keys.values() if len(ids) > 1]
+        return [list(group) for group in self._duplicates]
 
 
 # -- constructors ---------------------------------------------------------
@@ -234,8 +226,8 @@ def euclidean(coords, labels=None, psd_tol=DEFAULT_PSD_TOL, diagonal_load=0.0):
     C = np.atleast_2d(np.asarray(coords, dtype=float))
     labels = _check_labels(labels, C.shape[0])
     points = [Point(i, C[i].copy(), labels[i]) for i in range(C.shape[0])]
-    G = C @ C.T
-    return Kernel("euclidean", points, G, psd_tol, diagonal_load, _coords=C)
+    return Kernel("euclidean", points, euclidean_pairing(C, C), psd_tol, diagonal_load,
+                  _coords=C)
 
 
 def fock(points, labels=None, psd_tol=DEFAULT_PSD_TOL, diagonal_load=0.0):
@@ -244,29 +236,20 @@ def fock(points, labels=None, psd_tol=DEFAULT_PSD_TOL, diagonal_load=0.0):
     Points may be complex scalars or (a, b) pairs. Pairings with
     |z conj(w)| > 700 would overflow the exponential and raise DomainError.
     """
-    Z = _as_complex_array(points)
-    labels = _check_labels(labels, Z.size)
-    U = np.multiply.outer(Z, np.conj(Z))
-    if Z.size and float(np.max(np.abs(U))) > FOCK_EXPONENT_GUARD:
-        raise DomainError(
-            "fock kernel overflow on ground set (max admissible point "
-            "radius %.4f)" % np.sqrt(FOCK_EXPONENT_GUARD)
-        )
-    G = np.exp(U.real) * np.cos(U.imag)
-    pts = [Point(i, complex(Z[i]), labels[i]) for i in range(Z.size)]
-    return Kernel("fock", pts, G, psd_tol, diagonal_load, _coords=Z)
+    return _complex_kernel("fock", points, labels, psd_tol, diagonal_load)
 
 
 def hardy(points, labels=None, psd_tol=DEFAULT_PSD_TOL, diagonal_load=0.0):
     """Real Hardy kernel Re (1 + z conj(w))/(1 - z conj(w)); needs |z| < 1."""
+    return _complex_kernel("hardy", points, labels, psd_tol, diagonal_load)
+
+
+def _complex_kernel(variant, points, labels, psd_tol, diagonal_load):
     Z = _as_complex_array(points)
     labels = _check_labels(labels, Z.size)
-    if Z.size and float(np.max(np.abs(Z))) >= 1.0:
-        raise DomainError("hardy kernel requires all |z| < 1")
-    U = np.multiply.outer(Z, np.conj(Z))
-    G = ((1.0 + U) / (1.0 - U)).real
+    G = PAIRINGS[variant](Z, Z)
     pts = [Point(i, complex(Z[i]), labels[i]) for i in range(Z.size)]
-    return Kernel("hardy", pts, G, psd_tol, diagonal_load, _coords=Z)
+    return Kernel(variant, pts, G, psd_tol, diagonal_load, _coords=Z)
 
 
 def _check_labels(labels, n):

@@ -36,6 +36,8 @@ class AtomicMeasure:
             raise InvalidInput("measure atoms repeat a point id")
         ids = np.array([i for i, _ in atoms], dtype=int)
         ws = np.array([w for _, w in atoms], dtype=float)
+        if ids.min(initial=0) < 0:
+            raise InvalidInput("atom id %d is negative" % ids.min())
         if self.kind == PROBABILITY:
             if not atoms:
                 raise InvalidInput("probability measure needs at least one atom")

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import measure as msr
 from .errors import InvalidInput, ZeroPortfolio
 
 DEFAULT_MARGIN_TOL = 1e-8
@@ -55,8 +54,8 @@ class PsiSpec:
     @staticmethod
     def embedded(reference, kern):
         """psi(x) = nu(x) for a measure nu; ||psi|| = ||nu|| is known."""
-        vals = np.array([msr.mu_eval(reference, kern, i) for i in range(kern.n)])
-        return PsiSpec(vals, "embedded", norm=np.sqrt(msr.norm_sq(reference, kern)))
+        table = margin_table(reference, None, kern)
+        return PsiSpec(table.mu, "embedded", norm=np.sqrt(table.norm_sq))
 
     @staticmethod
     def point_kernel(alpha, kern):
@@ -132,6 +131,10 @@ def margin_table(measure, psi, kern, candidates=None):
             raise InvalidInput("score needs a non-empty candidate set")
     G = kern.gram
     ids, w = measure.ids, measure.weights
+    if ids.size and int(ids.max()) >= kern.n:
+        raise InvalidInput(
+            "atom id %d outside ground set of size %d" % (int(ids.max()), kern.n)
+        )
     mu = G[:, ids] @ w
     lin = float(np.dot(w, psi.values[ids]))
     nsq = max(0.0, float(w @ G[np.ix_(ids, ids)] @ w))

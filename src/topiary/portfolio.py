@@ -21,12 +21,11 @@ from .diagnostics import capm_report, sml_points
 from .errors import (
     InvalidInput,
     NonNumericCell,
-    NonPSD,
     RaggedRow,
     TooFewRows,
     UnknownReferencePoint,
 )
-from .kernel import DEFAULT_PSD_TOL, explicit_gram
+from .kernel import DEFAULT_PSD_TOL, checked_gram, explicit_gram
 from .solver import SolveConfig, solve
 
 RISK_FREE_LABEL = "risk-free"
@@ -72,7 +71,7 @@ class PortfolioSpec:
             raise InvalidInput("annualize_factor must be a positive integer")
         if self.rf_index is not None and not (0 <= int(self.rf_index) < n):
             raise InvalidInput("rf_index %s outside the asset list" % (self.rf_index,))
-        _check_psd(cov, self.psd_tol)
+        checked_gram(cov, self.psd_tol)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
@@ -94,20 +93,6 @@ class PortfolioReport:
     capm: tuple
     sml: object
     adaptive_constant: float
-
-
-def _check_psd(cov, psd_tol):
-    sym_err = float(np.max(np.abs(cov - cov.T), initial=0.0))
-    scale = float(np.max(np.abs(cov), initial=0.0))
-    if sym_err > 1e-12 * max(scale, 1.0):
-        raise InvalidInput("covariance is not symmetric (skew %.3g)" % sym_err)
-    eig = np.linalg.eigvalsh((cov + cov.T) / 2.0)
-    floor = -psd_tol * max(float(np.max(np.diag(cov), initial=0.0)), 1.0)
-    if float(eig.min(initial=0.0)) < floor:
-        raise NonPSD(
-            "covariance has eigenvalue %.6g below the PSD floor" % float(eig.min()),
-            eigenvalue=float(eig.min()),
-        )
 
 
 def ingest_returns(table, annualize_factor=None):
@@ -164,7 +149,8 @@ def apply_risk_belief(spec):
     """Shrink means toward the risk-free rate and inflate variances.
 
     mean' = r + (1-s)(mean - r), covariance' = covariance + lambda *
-    diag(covariance); adding a nonnegative diagonal keeps the matrix PSD.
+    diag(covariance); adding a nonnegative diagonal keeps the matrix PSD, and
+    the corrected spec passes the Gram gate again on construction.
     Returns (corrected spec, flagged asset ids): an asset is flagged when its
     corrected excess return still matches or exceeds its corrected variance,
     the incentive to go all in. The risk-free asset itself is exempt.
@@ -174,7 +160,6 @@ def apply_risk_belief(spec):
     lam = float(spec.var_inflate)
     mean = r + (1.0 - s) * (spec.mean - r)
     cov = spec.covariance + lam * np.diag(np.diag(spec.covariance))
-    _check_psd(cov, spec.psd_tol)
     corrected = replace(spec, mean=mean, covariance=cov, mean_shrink=0.0, var_inflate=0.0)
     var = np.diag(cov)
     flagged = tuple(
@@ -220,9 +205,8 @@ def reduce_adaptive(spec, kern=None):
             raise UnknownReferencePoint(
                 "reference atom %d is not one of the %d assets" % (int(i), kern.n)
             )
-    shift = np.array([msr.mu_eval(nu, kern, i) for i in range(kern.n)])
-    constant = -msr.norm_sq(nu, kern) / 2.0
-    return obj.PsiSpec.table(spec.mean + shift), kern, constant
+    table = obj.margin_table(nu, None, kern)
+    return obj.PsiSpec.table(spec.mean + table.mu), kern, -table.norm_sq / 2.0
 
 
 def optimize_portfolio(spec, config=None):

@@ -144,9 +144,10 @@ def representatives(kern, psi_values, candidates=None):
     for c in cand:
         if not 0 <= c < kern.n:
             raise InvalidInput("candidate id %d outside ground set" % c)
+    cand_set = set(cand)
     drop = set()
     for group in kern.duplicate_groups():
-        members = [i for i in group if i in set(cand)]
+        members = [i for i in group if i in cand_set]
         if len(members) < 2:
             continue
         rep = max(members, key=lambda i: (psi_values[i], -i))
@@ -677,13 +678,17 @@ def _step_exchange(state, s, x):
             )
         return
     before = state.objective()
+    # the core moves w in place over several inner steps; it works on a copy
+    # so that a failure part way leaves w and the caches describing one state
+    w = state.w.copy()
     try:
         dropped, _, _ = _exchange_core(
-            state.G, state.psi_values, state.w, x, cfg.margin_tol, cfg.weight_tol
+            state.G, state.psi_values, w, x, cfg.margin_tol, cfg.weight_tol
         )
     except NotPrunable:
         greedy_step(state)
         return
+    state.w = w
     state._refresh_caches()
     state.iterations += 1
     state._check_monotone(before, state.objective(), "exchange")

@@ -151,6 +151,56 @@ def test_nonpsd_problem_is_exit_3(tmp_path, capsys):
     assert "not positive semidefinite" in capsys.readouterr().err
 
 
+def _problem(kernel, psi=(0.0, 0.0)):
+    return {"format_version": 1, "kernel": kernel, "psi": list(psi)}
+
+
+_GRAM2 = {"type": "gram", "gram": [[2.0, 0.5], [0.5, 1.0]]}
+_SPEC = {"format_version": 1, "labels": ["a", "b"], "mean": [0.1, 0.2],
+         "covariance": [[0.04, 0.0], [0.0, 0.09]]}
+
+# (flag the file is passed under, its payload, extra argv); solutions are
+# diagnosed against the two-point gram problem
+_MALFORMED = {
+    "ragged gram": ("--input", _problem({"type": "gram", "gram": [[1.0, 0.0], [0.0]]}), []),
+    "psi string": ("--input", _problem(_GRAM2, ["a", 0.0]), []),
+    "psi null": ("--input", _problem(_GRAM2, [None, 0.0]), []),
+    "euclidean point": ("--input", _problem(
+        {"type": "euclidean", "points": [[1.0, "z"], [0.0, 1.0]]}), []),
+    "spec mean": ("--spec", dict(_SPEC, mean=["x", 0.2]), []),
+    "spec reference": ("--spec", dict(_SPEC, reference=[{"weight": 1.0}]), []),
+    "weights without point": ("--solution", {"weights": [{"weight": 1.0}]}, []),
+    "atom point string": ("--solution", {"atoms": [{"point": "x", "weight": 1.0}]}, []),
+    "atom point negative": ("--solution", {"atoms": [{"point": -1, "weight": 1.0}]}, []),
+    "atom point past the end": ("--solution", {"atoms": [{"point": 5, "weight": 1.0}]}, []),
+    "base not an id": ("--solution", {"atoms": [{"point": 0, "weight": 1.0}]},
+                       ["--base", "a,1"]),
+    "base past the end": ("--solution", {"atoms": [{"point": 0, "weight": 1.0}]},
+                          ["--base", "7"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_input_is_exit_2(case, tmp_path, capsys):
+    flag, payload, extra = _MALFORMED[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    if flag == "--input":
+        argv = ["solve", "--input", str(path)]
+    elif flag == "--spec":
+        argv = ["portfolio", "--spec", str(path)]
+    else:
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps(_problem(_GRAM2)))
+        argv = ["diagnose", "--input", str(problem), "--solution", str(path),
+                "--jc", str(tmp_path / "jc.csv")]
+    rc = cli.run(argv + extra)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_max_iter_exhaustion_is_exit_4(problem_file, capsys):
     rc = cli.run(["solve", "--input", problem_file, "--algorithm", "greedy",
                   "--seed-point", "1", "--max-iter", "1"])

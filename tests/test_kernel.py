@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import topiary as tp
+from topiary import kernel as krn
 
 from conftest import ZIGZAG_COORDS, ZIGZAG_GRAM
 
@@ -103,6 +104,49 @@ def test_non_psd_reports_eigenvalue():
     assert exc.value.eigenvalue == pytest.approx(-1.0, abs=1e-12)
 
 
+def _covariance_with_lowest_eigenvalue(lam, top=1e-4, other=1e-6):
+    """[[top, b], [b, other]] whose lowest eigenvalue is lam."""
+    b = np.sqrt((top - lam) * (other - lam))
+    return np.array([[top, b], [b, other]])
+
+
+def test_psd_floor_shared_by_kernels_and_portfolio_specs():
+    # floor -psd_tol * max|diag| = -1e-9 * 1e-4; a floor of -psd_tol *
+    # max(max diag, 1) would let -1e-11 through the spec
+    bad = _covariance_with_lowest_eigenvalue(-1e-11)
+    with pytest.raises(tp.NonPSD) as exc:
+        tp.explicit_gram(bad)
+    assert exc.value.eigenvalue == pytest.approx(-1e-11, rel=1e-3)
+    with pytest.raises(tp.NonPSD):
+        tp.PortfolioSpec(labels=("a", "b"), mean=np.zeros(2), covariance=bad)
+    near = _covariance_with_lowest_eigenvalue(-0.5e-13)
+    tp.explicit_gram(near)
+    tp.PortfolioSpec(labels=("a", "b"), mean=np.zeros(2), covariance=near)
+
+
+def test_duplicate_groups_found_once_at_construction(monkeypatch):
+    with pytest.warns(tp.DuplicatePointsWarning):
+        k = tp.euclidean([(1.0, 0.0), (0.0, 1.0), (1.0, 0.0)])
+
+    def no_rounding(*args, **kwargs):
+        raise AssertionError("duplicate groups recomputed after construction")
+
+    monkeypatch.setattr(krn.np, "round", no_rounding)
+    assert k.duplicate_groups() == [[0, 2]]
+    r = tp.solve(k, tp.PsiSpec.zero(k), tp.SolveConfig(seed_point=2))
+    assert r.score <= r.margin_tol
+    assert 2 not in r.support()
+
+
+def test_non_finite_gram_rejected():
+    for bad in (np.nan, np.inf):
+        cov = np.array([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(tp.InvalidInput):
+            tp.explicit_gram(cov)
+        with pytest.raises(tp.InvalidInput):
+            tp.PortfolioSpec(labels=("a", "b"), mean=np.zeros(2), covariance=cov)
+
+
 def test_asymmetric_gram_rejected():
     with pytest.raises(tp.InvalidInput):
         tp.explicit_gram([[1.0, 0.5], [0.1, 1.0]])
@@ -124,6 +168,13 @@ def test_fock_overflow_guard():
     # |z conj(w)| = 900 > 700
     with pytest.raises(tp.DomainError):
         tp.fock([30 + 0j, 30j])
+    k = tp.fock([20 + 0j])  # |z|^2 = 400 is admissible
+    with pytest.raises(tp.DomainError):
+        k.row(40 + 0j)  # 800
+    with pytest.raises(tp.DomainError):
+        k.eval(0, 40 + 0j)
+    with pytest.raises(tp.DomainError):
+        k.eval(30 + 0j, 30j)
 
 
 def test_hardy_outside_disk_rejected():
@@ -132,6 +183,32 @@ def test_hardy_outside_disk_rejected():
     k = tp.hardy([0j])
     with pytest.raises(tp.DomainError):
         k.eval(0, 1.0 + 0j)
+    with pytest.raises(tp.DomainError):
+        k.eval(1.0 + 0j, 0j)
+    with pytest.raises(tp.DomainError):
+        k.row(0.6 + 0.8j)
+
+
+def test_one_pairing_behind_gram_eval_and_row():
+    """gram[i, j], eval(i, j), eval at the coordinates and row(coords_j)[i]
+    all come from the variant's one pairing function."""
+    rng = np.random.default_rng(23)
+    zs = rng.normal(scale=1.5, size=15) + 1j * rng.normal(scale=1.5, size=15)
+    kernels = (
+        tp.euclidean(rng.normal(size=(15, 4))),
+        tp.fock(list(zs)),
+        tp.hardy(list(0.97 * zs / (1.0 + np.abs(zs)))),
+    )
+    for k in kernels:
+        G = k.gram
+        tol = 1e-12 * float(np.max(np.abs(G)))
+        pts = [tuple(c) if k.variant == "euclidean" else c for c in k.coords]
+        for j in range(k.n):
+            row = k.row(pts[j])
+            for i in range(k.n):
+                assert k.eval(i, j) == G[i, j]
+                assert abs(k.eval(pts[i], pts[j]) - G[i, j]) <= tol
+                assert abs(row[i] - G[i, j]) <= tol
 
 
 def test_labels_default_and_explicit():

@@ -17,6 +17,10 @@ def test_probability_invariants_enforced():
         tp.AtomicMeasure(((0, 1.0),), kind="measure")
     with pytest.raises(tp.InvalidInput):
         tp.AtomicMeasure((), kind="probability")
+    with pytest.raises(tp.InvalidInput):
+        tp.AtomicMeasure(((-1, 1.0),))
+    with pytest.raises(tp.InvalidInput):
+        tp.signed([2, -1], [2.0, -1.0])
 
 
 def test_signed_records_total_mass():

@@ -168,6 +168,34 @@ def test_margin_table_restricted_candidates(zigzag, zigzag_psi):
     assert t.score == pytest.approx(2.0)
 
 
+def test_margin_table_rejects_atoms_outside_ground_set(zigzag, zigzag_psi):
+    with pytest.raises(tp.InvalidInput):
+        tp.margin_table(tp.delta(3), zigzag_psi, zigzag)
+    with pytest.raises(tp.InvalidInput):
+        tp.margins(tp.probability([0, 5], [0.5, 0.5]), zigzag_psi, zigzag)
+
+
+def test_reference_measure_read_off_one_table():
+    """PsiSpec.embedded and reduce_adaptive against the per-point mu_eval and
+    norm_sq they used to call."""
+    kern, _ = random_instance(np.random.default_rng(31), 30)
+    rng = np.random.default_rng(32)
+    ids = rng.choice(30, size=9, replace=False)
+    w = rng.uniform(size=9)
+    nu = tp.probability(ids, w / w.sum())
+    tol = 1e-12 * float(np.max(np.abs(kern.gram)))
+    ref = np.array([tp.mu_eval(nu, kern, i) for i in range(kern.n)])
+    psi = tp.PsiSpec.embedded(nu, kern)
+    assert np.max(np.abs(psi.values - ref)) <= tol
+    assert abs(psi.norm ** 2 - tp.norm_sq(nu, kern)) <= tol
+    mean = rng.normal(scale=0.1, size=30)
+    spec = tp.PortfolioSpec(labels=tuple("a%d" % i for i in range(30)), mean=mean,
+                            covariance=kern.gram, reference=nu)
+    folded, _, const = tp.reduce_adaptive(spec, kern)
+    assert np.max(np.abs(folded.values - (mean + ref))) <= tol
+    assert abs(const + tp.norm_sq(nu, kern) / 2.0) <= tol
+
+
 def test_embedded_psi_recovers_reference(zigzag):
     # if psi is an embedded distribution, that distribution is the optimum
     mu0 = tp.probability([0, 2], [0.3, 0.7])

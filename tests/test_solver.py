@@ -5,6 +5,7 @@ import pytest
 import scipy.optimize
 
 import topiary as tp
+from topiary import solver as slv
 
 from conftest import random_instance
 
@@ -242,6 +243,34 @@ def test_exchange_add_requires_positive_margin(zigzag, zigzag_psi):
     mu = tp.probability([0, 2], [0.4, 0.6])
     with pytest.raises(tp.InvalidInput):
         tp.exchange_add(zigzag, zigzag_psi, mu, 1)
+
+
+def test_failed_exchange_leaves_state_consistent(zigzag, zigzag_psi, monkeypatch):
+    """A NotPrunable on a later inner exchange step falls back to a greedy
+    step on the state as it was, so w and its caches still agree."""
+    st = tp.SolverState(zigzag, zigzag_psi, start=tp.delta(1))
+    s, x = st.score_argmax()
+    slv._step_exchange(st, s, x)
+    assert st.w == pytest.approx([0.0, 0.6, 0.4], abs=1e-14)
+
+    real = slv._augmented_solve
+    calls = []
+
+    def fails_second(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise tp.NotPrunable("forced on the second inner step")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(slv, "_augmented_solve", fails_second)
+    s, x = st.score_argmax()
+    assert x == 0
+    slv._step_exchange(st, s, x)
+    assert len(calls) == 2
+    G, w = zigzag.gram, st.w
+    assert np.max(np.abs(st.m - G @ w)) <= 1e-12
+    assert abs(st.lin - float(zigzag_psi.values @ w)) <= 1e-12
+    assert abs(st.nsq - float(w @ G @ w)) <= 1e-12
 
 
 def test_solve_exchange_zigzag(zigzag, zigzag_psi):
