@@ -413,8 +413,11 @@ def read_portfolio_spec(path):
                       ("var_inflate", float), ("annualize_factor", int), ("rf_index", int)):
         if payload.get(key) is not None:
             kwargs[key] = _number(payload[key], path, key, kind)
+    labels = payload["labels"]
+    if not isinstance(labels, list):
+        raise InvalidInput("%s: labels must be a list, got %r" % (path, labels))
     return pf.PortfolioSpec(
-        labels=tuple(str(v) for v in payload["labels"]),
+        labels=tuple(str(v) for v in labels),
         mean=_floats(payload["mean"], path, "mean"),
         covariance=_floats(payload["covariance"], path, "covariance", 2),
         reference=reference,

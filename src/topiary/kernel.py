@@ -255,6 +255,8 @@ def _complex_kernel(variant, points, labels, psd_tol, diagonal_load):
 def _check_labels(labels, n):
     if labels is None:
         return [None] * n
+    if not isinstance(labels, (list, tuple)):
+        raise InvalidInput("labels must be a list, got %s" % type(labels).__name__)
     labels = list(labels)
     if len(labels) != n:
         raise InvalidInput("got %d labels for %d points" % (len(labels), n))

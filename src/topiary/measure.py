@@ -114,7 +114,7 @@ def mu_eval(measure, kern, x):
     if not measure.atoms:
         return 0.0
     if isinstance(x, (int, np.integer)):
-        return float(np.dot(measure.weights, kern.gram[measure.ids, int(x)]))
+        return float(np.dot(measure.weights, kern.gram[measure.ids, kern._id(x)]))
     return float(sum(w * kern.eval(i, x) for i, w in measure.atoms))
 
 

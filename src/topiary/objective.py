@@ -163,7 +163,7 @@ def topiaric_rate(measure, psi, kern):
 
 
 def margin(measure, psi, kern, x):
-    return float(margin_table(measure, psi, kern).margins[int(x)])
+    return float(margin_table(measure, psi, kern).margins[kern._id(x)])
 
 
 def margins(measure, psi, kern):
@@ -182,7 +182,7 @@ def score(measure, psi, kern, candidates=None):
 def step_gain(measure, psi, kern, x):
     """Objective gain of an exact line search toward delta_x."""
     table = margin_table(measure, psi, kern)
-    x = int(x)
+    x = kern._id(x)
     iota = float(table.margins[x])
     d2 = float(kern.gram[x, x]) - 2.0 * float(table.mu[x]) + table.norm_sq
     if d2 <= ZERO_TOL:
@@ -196,10 +196,10 @@ def step_gain(measure, psi, kern, x):
 
 def beta(measure, kern, x):
     """mu(x) / ||mu||^2, the regression coefficient of x on the portfolio."""
-    return float(margin_table(measure, None, kern).betas()[int(x)])
+    return float(margin_table(measure, None, kern).betas()[kern._id(x)])
 
 
 def alpha(measure, psi, kern, x):
     """psi(x) - r - beta(x) (integral(psi d mu) - r); see MarginTable.alphas."""
     psi = as_psi(psi, kern)
-    return float(margin_table(measure, psi, kern).alphas(psi.values)[int(x)])
+    return float(margin_table(measure, psi, kern).alphas(psi.values)[kern._id(x)])

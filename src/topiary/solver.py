@@ -140,10 +140,10 @@ def representatives(kern, psi_values, candidates=None):
     lower-psi twin has a strictly smaller margin under every measure, so
     discarding it changes nothing about the optimum.
     """
-    cand = list(range(kern.n)) if candidates is None else sorted(set(int(c) for c in candidates))
-    for c in cand:
-        if not 0 <= c < kern.n:
-            raise InvalidInput("candidate id %d outside ground set" % c)
+    if candidates is None:
+        cand = list(range(kern.n))
+    else:
+        cand = sorted(set(kern._id(c) for c in candidates))
     cand_set = set(cand)
     drop = set()
     for group in kern.duplicate_groups():
@@ -158,9 +158,12 @@ def representatives(kern, psi_values, candidates=None):
 class SolverState:
     """Single-owner working state advanced by greedy_step / prune / exchange.
 
-    Keeps incremental caches: m = G w (embedded values), lin = psi . w,
-    nsq = w' G w. Updated in O(n) per step and cross-checked against a full
-    recomputation every 256 steps.
+    The one place a weight vector w becomes its caches m = G w (embedded
+    values), lin = psi . w and nsq = w' G w, and from them its margins, its
+    certificate (`converged`) and its monotonicity check. Exchange, polish
+    and prune move w and recompute the caches (`_refresh_caches`); only the
+    greedy step updates them incrementally, in O(n), cross-checked against a
+    full recomputation every 256 steps.
     """
 
     def __init__(self, kern, psi, config=None, start=None, candidates=None):
@@ -208,6 +211,12 @@ class SolverState:
         self.m = self.G[:, sup] @ self.w[sup] if sup.size else np.zeros(self.kernel.n)
         self.lin = float(self.psi_values[sup] @ self.w[sup]) if sup.size else 0.0
         self.nsq = float(self.w[sup] @ self.m[sup]) if sup.size else 0.0
+
+    def _snapshot(self):
+        return self.w.copy(), self.m, self.lin, self.nsq
+
+    def _restore(self, snapshot):
+        self.w, self.m, self.lin, self.nsq = snapshot
 
     def _drift_guard(self):
         self._since_check += 1
@@ -268,10 +277,15 @@ class SolverState:
             )
 
     def _check_monotone(self, before, after, where):
-        if after < before - 1e-12 * max(1.0, abs(before)):
+        if _fell(before, after):
             raise MonotonicityError(
                 "%s decreased the objective from %.17g to %.17g" % (where, before, after)
             )
+
+
+def _fell(before, after):
+    """True when the objective fell from before to after beyond round-off."""
+    return after < before - 1e-12 * max(1.0, abs(before))
 
 
 def greedy_step(state):
@@ -363,7 +377,6 @@ def _try_polish(state):
     S = list(int(i) for i in state.support())
     before = state.objective()
     dropped = []
-    v = None
     for _ in range(len(S)):
         try:
             v, _ = _augmented_solve(state.G[np.ix_(S, S)], state.psi_values[S])
@@ -381,22 +394,13 @@ def _try_polish(state):
     total = float(v.sum())
     if total <= 0.0:
         return False
-    w = np.zeros_like(state.w)
-    w[S] = v / total
-    m = state.G[:, S] @ w[S]
-    lin = float(state.psi_values[S] @ w[S])
-    nsq = float(w[S] @ m[S])
-    iota = state.psi_values - m - (lin - nsq)
-    tol = state.config.margin_tol
-    if float(iota[state.candidates].max()) > tol:
-        return False
-    if float(iota[np.flatnonzero(w)].min()) < -tol:
-        return False
-    after = lin - nsq / 2.0
-    if after < before - 1e-12 * max(1.0, abs(before)):
-        return False
-    state.w = w
+    snapshot = state._snapshot()
+    state.w = np.zeros_like(state.w)
+    state.w[S] = v / total
     state._refresh_caches()
+    if not state.converged() or _fell(before, state.objective()):
+        state._restore(snapshot)
+        return False
     state.iterations += 1
     state._record(None, dropped)
     return True
@@ -450,9 +454,9 @@ def grow_set(kern, psi, A, candidates=None, config=None):
     cfg = config if config is not None else SolveConfig()
     result = solve_subset(kern, psi, A, cfg)
     iota = obj.margins(result.measure, psi, kern)
-    pool = range(kern.n) if candidates is None else candidates
+    pool = range(kern.n) if candidates is None else (kern._id(x) for x in candidates)
     a_set = set(_validate_subset(kern, A))
-    return tuple(sorted(int(x) for x in pool if int(x) not in a_set and iota[int(x)] > cfg.margin_tol))
+    return tuple(sorted(x for x in pool if x not in a_set and iota[x] > cfg.margin_tol))
 
 
 def prune_set(kern, psi, A, weight_tol=1e-10):
@@ -462,51 +466,52 @@ def prune_set(kern, psi, A, weight_tol=1e-10):
 
 
 def _validate_subset(kern, A):
-    ids = sorted(set(int(a) for a in A))
+    ids = sorted(set(kern._id(a) for a in A))
     if not ids:
         raise InvalidInput("subset is empty")
-    if ids[0] < 0 or ids[-1] >= kern.n:
-        raise InvalidInput("subset contains ids outside the ground set")
     return ids
 
 
 # -- exchange ---------------------------------------------------------------
 
-def _exchange_core(G, psi_values, w, x, margin_tol, weight_tol):
-    """Drive the margin at x to zero along hedge-shift rays.
+def _exchange_core(state, x):
+    """Drive the margin at x to zero along hedge-shift rays, moving state.
 
-    w is mutated. Returns (dropped ids, inner iteration count, final margin).
-    The ko rule is structural: only x ever gains weight, so an atom dropped
-    here cannot re-enter within the call.
+    Each inner step reads mu(x) = m[x], the rate and the objective off the
+    state, solves the shifted hedge system on the support S without x (the
+    G[S, S] block it gathers for the LU is its only Gram product over the
+    support), walks w along delta_x - nu and recomputes the caches. Returns
+    (dropped ids, inner iteration count, final margin). The ko rule is
+    structural: only x ever gains weight, so an atom dropped here cannot
+    re-enter within the call.
     """
+    G, psi_values, cfg = state.G, state.psi_values, state.config
+    w = state.w
     dropped = []
     inner = 0
     limit = 2 * len(w) + 8
     while True:
-        sup = np.flatnonzero(w)
-        nsq = float(w[sup] @ G[np.ix_(sup, sup)] @ w[sup])
-        lin = float(psi_values[sup] @ w[sup])
-        mu_x = float(G[x, sup] @ w[sup])
-        iota0 = float(psi_values[x]) - mu_x - (lin - nsq)
-        if iota0 <= margin_tol:
+        mu_x = float(state.m[x])
+        iota0 = float(psi_values[x]) - mu_x - state.rate()
+        if iota0 <= cfg.margin_tol:
             break
         inner += 1
         if inner > limit:
             raise NoProgress("exchange failed to close the margin at %d" % x)
 
+        sup = np.flatnonzero(w)
         S = sup[sup != x]
         if S.size == 0:
             # support is already {x}; its own margin is zero by definition,
             # so iota0 > margin_tol cannot hold unless the caches lie
             raise NoProgress("margin positive at the only support atom %d" % x)
         G_S = G[np.ix_(S, S)]
-        v, shift = _augmented_solve(G_S, G[S, x])
+        v, _ = _augmented_solve(G_S, G[S, x])
 
         nu_x = float(v @ G[S, x])
         vGv = float(v @ G_S @ v)
         quad = float(G[x, x]) - 2.0 * nu_x + vGv  # ||delta_x - nu||^2
-        mu_nu = float((v @ G[np.ix_(S, sup)]) @ w[sup])
-        mu_d = mu_x - mu_nu
+        mu_d = mu_x - float(v @ state.m[S])
         slope = float(psi_values[x]) - float(v @ psi_values[S]) - mu_d  # dO/dt at 0
         lin_coef = (float(G[x, x]) - nu_x) + (slope + mu_d) - 2.0 * mu_d
 
@@ -521,22 +526,16 @@ def _exchange_core(G, psi_values, w, x, margin_tol, weight_tol):
                 "exchange step collapsed (t = %.3g) with margin %.3g at %d"
                 % (t, iota0, x)
             )
-        before = lin - nsq / 2.0
+        before = state.objective()
         w[S] -= t * v
         w[x] += t
         np.maximum(w, 0.0, out=w)
-        for i in S[w[S] < weight_tol]:
+        for i in S[w[S] < cfg.weight_tol]:
             dropped.append(int(i))
             w[i] = 0.0
         w /= w.sum()
-        sup2 = np.flatnonzero(w)
-        after = float(psi_values[sup2] @ w[sup2]) - float(
-            w[sup2] @ G[np.ix_(sup2, sup2)] @ w[sup2]
-        ) / 2.0
-        if after < before - 1e-12 * max(1.0, abs(before)):
-            raise MonotonicityError(
-                "exchange decreased the objective from %.17g to %.17g" % (before, after)
-            )
+        state._refresh_caches()
+        state._check_monotone(before, state.objective(), "exchange")
     return dropped, inner, iota0
 
 
@@ -568,24 +567,19 @@ def exchange_add(kern, psi, mu, x, config=None):
     is within tolerance.
     """
     cfg = config if config is not None else SolveConfig()
-    psi = obj.as_psi(psi, kern)
-    x = int(x)
-    if mu.weight_of(x) > 0:
+    x = kern._id(x)
+    state = SolverState(kern, psi, cfg, start=mu)
+    if state.w[x] > 0:
         raise InvalidInput("point %d already carries weight" % x)
-    iota_x = obj.margin(mu, psi, kern, x)
+    iota_x = float(state.margins()[x])
     if iota_x <= cfg.margin_tol:
         raise InvalidInput(
             "margin %.3g at point %d is not positive; nothing to add" % (iota_x, x)
         )
-    w = mu.as_vector(kern.n)
-    dropped, inner, final = _exchange_core(
-        kern.gram, psi.values, w, x, cfg.margin_tol, cfg.weight_tol
-    )
-    sup = np.flatnonzero(w)
-    out = msr.probability(sup, w[sup])
+    dropped, inner, final = _exchange_core(state, x)
     return ExchangeOutcome(
-        measure=out,
-        objective=obj.aesthetic_objective(out, psi, kern),
+        measure=state.measure(),
+        objective=state.objective(),
         inner_iterations=inner,
         dropped=tuple(dropped),
         margin_at_x=final,
@@ -678,18 +672,15 @@ def _step_exchange(state, s, x):
             )
         return
     before = state.objective()
-    # the core moves w in place over several inner steps; it works on a copy
-    # so that a failure part way leaves w and the caches describing one state
-    w = state.w.copy()
+    # a failure part way through the core's inner steps puts the state back
+    # as it was, so the greedy fallback starts from w and matching caches
+    snapshot = state._snapshot()
     try:
-        dropped, _, _ = _exchange_core(
-            state.G, state.psi_values, w, x, cfg.margin_tol, cfg.weight_tol
-        )
+        dropped, _, _ = _exchange_core(state, x)
     except NotPrunable:
+        state._restore(snapshot)
         greedy_step(state)
         return
-    state.w = w
-    state._refresh_caches()
     state.iterations += 1
     state._check_monotone(before, state.objective(), "exchange")
     state._record(x, dropped)
@@ -769,7 +760,7 @@ def is_topiaric_index(kern, psi, B, config=None):
     return set(ids) <= set(solve_subset(kern, psi, ids, cfg).index)
 
 
-def construction_ordering(kern, psi, K, config=None, deconstruct_cap=DECONSTRUCT_CAP):
+def construction_ordering(kern, psi, K, config=None):
     """Ordering of a topiaric index whose every initial segment is an index.
 
     Found by peeling removable points (highest id first, so the built-up
@@ -780,9 +771,9 @@ def construction_ordering(kern, psi, K, config=None, deconstruct_cap=DECONSTRUCT
     psi = obj.as_psi(psi, kern)
     cfg = config if config is not None else SolveConfig()
     ids = _validate_subset(kern, K)
-    if len(ids) > deconstruct_cap:
+    if len(ids) > DECONSTRUCT_CAP:
         raise TooLarge(
-            "deconstruction over %d points exceeds the cap %d" % (len(ids), deconstruct_cap)
+            "deconstruction over %d points exceeds the cap %d" % (len(ids), DECONSTRUCT_CAP)
         )
     if not is_topiaric_index(kern, psi, ids, cfg):
         raise NotAnIndex("input set is not a topiaric index")

@@ -169,6 +169,10 @@ _MALFORMED = {
         {"type": "euclidean", "points": [[1.0, "z"], [0.0, 1.0]]}), []),
     "spec mean": ("--spec", dict(_SPEC, mean=["x", 0.2]), []),
     "spec reference": ("--spec", dict(_SPEC, reference=[{"weight": 1.0}]), []),
+    "spec labels number": ("--spec", dict(_SPEC, labels=5), []),
+    "spec labels string": ("--spec", dict(_SPEC, labels="ab"), []),
+    "kernel labels number": ("--input", _problem(dict(_GRAM2, labels=5)), []),
+    "kernel labels string": ("--input", _problem(dict(_GRAM2, labels="ab")), []),
     "weights without point": ("--solution", {"weights": [{"weight": 1.0}]}, []),
     "atom point string": ("--solution", {"atoms": [{"point": "x", "weight": 1.0}]}, []),
     "atom point negative": ("--solution", {"atoms": [{"point": -1, "weight": 1.0}]}, []),

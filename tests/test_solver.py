@@ -214,6 +214,28 @@ def test_grow_set_includes_positive_margin():
     assert tp.grow_set(k, psi, [0, 2]) == (3,)
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_point_ids_outside_ground_set_rejected(bad):
+    """Every entry point taking a point id checks it against the ground set;
+    -1 no longer wraps round to the last point."""
+    k = tp.explicit_gram(np.diag([1.0, 2.0, 3.0]))
+    psi = tp.PsiSpec.zero(k)
+    mu = tp.delta(0)
+    calls = {
+        "exchange_add": lambda: tp.exchange_add(k, psi, mu, bad),
+        "grow_set": lambda: tp.grow_set(k, psi, [0], candidates=[bad]),
+        "margin": lambda: tp.margin(mu, psi, k, bad),
+        "step_gain": lambda: tp.step_gain(mu, psi, k, bad),
+        "beta": lambda: tp.beta(mu, k, bad),
+        "alpha": lambda: tp.alpha(mu, psi, k, bad),
+        "mu_eval": lambda: tp.mu_eval(mu, k, bad),
+    }
+    for name, call in calls.items():
+        with pytest.raises(tp.InvalidInput, match="outside ground set"):
+            call()
+            pytest.fail("%s accepted point id %d" % (name, bad))
+
+
 def test_prune_set_zigzag(zigzag, zigzag_psi):
     assert tp.prune_set(zigzag, zigzag_psi, [0, 1, 2]) == (1,)
     assert tp.prune_set(zigzag, zigzag_psi, [0, 2]) == ()
@@ -271,6 +293,50 @@ def test_failed_exchange_leaves_state_consistent(zigzag, zigzag_psi, monkeypatch
     assert np.max(np.abs(st.m - G @ w)) <= 1e-12
     assert abs(st.lin - float(zigzag_psi.values @ w)) <= 1e-12
     assert abs(st.nsq - float(w @ G @ w)) <= 1e-12
+
+
+def test_exchange_steps_keep_caches_exact():
+    """Every exchange step leaves m, lin and nsq equal to G w, psi . w and
+    w' G w up to round-off, and the steps alone reach the certificate."""
+    kern, psi = random_instance(np.random.default_rng(61), 200)
+    G = kern.gram
+    tol = 1e-12 * float(np.max(np.abs(G)))
+    st = tp.SolverState(kern, psi)
+    steps = 0
+    while not st.converged():
+        assert steps < 400
+        s, x = st.score_argmax()
+        slv._step_exchange(st, s, x)
+        steps += 1
+        w = st.w
+        assert np.max(np.abs(st.m - G @ w)) <= tol
+        assert abs(st.lin - float(psi.values @ w)) <= tol
+        assert abs(st.nsq - float(w @ G @ w)) <= tol
+    assert steps > 10
+    r = slv._finish(st, "exchange")
+    assert r.score <= r.margin_tol and set(r.support()) <= set(r.index)
+
+
+def test_rejected_polish_leaves_state_bit_identical(monkeypatch):
+    """A hedge snap that fails the certificate puts back the very w, m, lin
+    and nsq it found."""
+    kern, psi = random_instance(np.random.default_rng(62), 30)
+    st = tp.SolverState(kern, psi)
+    for _ in range(4):
+        tp.greedy_step(st)
+    checked = []
+    real = tp.SolverState.converged
+
+    def spy(self):
+        checked.append(real(self))
+        return checked[-1]
+
+    monkeypatch.setattr(tp.SolverState, "converged", spy)
+    w, m, lin, nsq = st.w.copy(), st.m.copy(), st.lin, st.nsq
+    assert not slv._try_polish(st)
+    assert checked == [False]  # the snapped weights reached the certificate
+    assert st.w.tobytes() == w.tobytes() and st.m.tobytes() == m.tobytes()
+    assert (st.lin, st.nsq) == (lin, nsq)
 
 
 def test_solve_exchange_zigzag(zigzag, zigzag_psi):
