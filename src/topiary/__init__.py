@@ -45,8 +45,8 @@ from .errors import (
     exit_code_for,
 )
 from .kernel import (
-    DEFAULT_PSD_TOL,
     FOCK_EXPONENT_GUARD,
+    PSD_TOL,
     Kernel,
     Point,
     euclidean,

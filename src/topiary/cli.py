@@ -56,23 +56,24 @@ def build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="SUBCOMMAND")
 
     defaults = slv.SolveConfig()
-    solver_flags = argparse.ArgumentParser(add_help=False)
-    solver_flags.add_argument("--input", required=True, help="problem JSON")
-    solver_flags.add_argument("--output", help="result JSON destination")
+    problem_flags = argparse.ArgumentParser(add_help=False)
+    problem_flags.add_argument("--input", required=True, help="problem JSON")
+    problem_flags.add_argument("--output", help="result JSON destination")
+    problem_flags.add_argument(
+        "--tol", type=float, default=defaults.margin_tol, help="margin tolerance"
+    )
+    problem_flags.add_argument("--json", action="store_true", help="machine JSON on stdout")
+    solver_flags = argparse.ArgumentParser(add_help=False, parents=[problem_flags])
     solver_flags.add_argument(
         "--algorithm", choices=slv.ALGORITHMS, default=defaults.algorithm
-    )
-    solver_flags.add_argument(
-        "--tol", type=float, default=defaults.margin_tol, help="margin tolerance"
     )
     solver_flags.add_argument("--weight-tol", type=float, default=defaults.weight_tol)
     solver_flags.add_argument("--max-iter", type=int, default=defaults.max_iter)
     solver_flags.add_argument("--trace", metavar="PATH", help="iteration trace CSV")
     solver_flags.add_argument("--seed-point", type=int, metavar="ID")
-    solver_flags.add_argument("--json", action="store_true", help="machine JSON on stdout")
 
     sub.add_parser("solve", parents=[solver_flags], help="run an iterative solver")
-    sub.add_parser("oracle", parents=[solver_flags], help="exhaustive small-problem optimum")
+    sub.add_parser("oracle", parents=[problem_flags], help="exhaustive small-problem optimum")
     sub.add_parser(
         "deconstruct",
         parents=[solver_flags],
@@ -188,8 +189,7 @@ def _cmd_solve(args):
 def _cmd_oracle(args):
     _check_paths([args.input], [args.output])
     kern, psi = fm.read_problem(args.input)
-    cfg = _solve_config(args)
-    result = slv.oracle_solve(kern, psi, config=cfg)
+    result = slv.oracle_solve(kern, psi, config=slv.SolveConfig(margin_tol=args.tol))
     if args.output:
         fm.write_result(args.output, result, kern)
     _emit(

@@ -60,7 +60,8 @@ class BaseNotInIndex(InvalidInput):
 
 
 class KernelNotAnalytic(InvalidInput):
-    """Harmonic-conjugate field only exists for analytic kernels (fock, hardy)."""
+    """Maze fields and paths need the margin as the real part of an analytic
+    function, which only the fock kernel gives."""
 
 
 class StartInsideObstacle(InvalidInput):
@@ -76,7 +77,7 @@ class NumericalError(TopiaryError):
 
 
 class NonPSD(NumericalError):
-    """Gram/covariance matrix has an eigenvalue below -psd_tol * max diagonal."""
+    """Gram/covariance matrix has an eigenvalue below -PSD_TOL * max diagonal."""
 
     def __init__(self, message, eigenvalue=None):
         super().__init__(message)

@@ -161,13 +161,16 @@ def write_problem(path, kern, psi=None):
 # -- strict field readers ----------------------------------------------------
 
 def _number(value, path, field, kind=float):
-    """kind(value), or an InvalidInput naming the file and the field."""
+    """kind(value), or an InvalidInput naming the file and the field; an int
+    field refuses a fractional value instead of truncating it."""
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise InvalidInput(
-            "%s: %s must be a number, got %r" % (path, field, value)
-        ) from None
+        number = None
+    if number is None or (kind is int and number != value):
+        raise InvalidInput("%s: %s must be %s, got %r" % (
+            path, field, "an integer" if kind is int else "a number", value))
+    return number
 
 
 def _floats(raw, path, field, ndim=1):

@@ -6,10 +6,11 @@ Re (1 + z conj(w)) / (1 - z conj(w)) on the open unit disk. Each coordinate
 variant has one pairing function, vectorized and carrying the variant's
 domain guard; the Gram, `Kernel.row` and `Kernel.eval` all call it.
 
-Every Gram or covariance matrix passes one gate, `checked_gram`, which
-reports the offending eigenvalue. No silent jitter: callers who want
-diagonal loading must ask for it explicitly. A Kernel owns its finite
-ground set; its Gram and its duplicate groups are computed once.
+Every Gram or covariance matrix passes one gate, `checked_gram`, with one
+tolerance, PSD_TOL, and reports the offending eigenvalue. No silent jitter
+and no diagonal loading: a matrix that fails the gate is refused. A Kernel
+owns its finite ground set; its Gram and its duplicate groups are computed
+once.
 """
 
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from .errors import DomainError, DuplicatePointsWarning, InvalidInput, NonPSD
 # admissible point radius for the Fock variant.
 FOCK_EXPONENT_GUARD = 700.0
 
-DEFAULT_PSD_TOL = 1e-9
+PSD_TOL = 1e-9  # lowest admissible eigenvalue, relative to max|diag|
 
 _ID_TYPES = (int, np.integer)
 
@@ -73,10 +74,10 @@ def hardy_pairing(A, B):
 PAIRINGS = {"euclidean": euclidean_pairing, "fock": fock_pairing, "hardy": hardy_pairing}
 
 
-def checked_gram(matrix, psd_tol=DEFAULT_PSD_TOL):
+def checked_gram(matrix):
     """The symmetrized matrix, once its entries are finite and
     max|G - G'| <= 1e-12 * max(1, max|G|) (else InvalidInput) and its lowest
-    eigenvalue is at least -psd_tol * max|diag|, the scale being 1 for a
+    eigenvalue is at least -PSD_TOL * max|diag|, the scale being 1 for a
     zero diagonal (else NonPSD carrying that eigenvalue)."""
     G = np.asarray(matrix, dtype=float)
     if not np.isfinite(G).all():
@@ -87,10 +88,10 @@ def checked_gram(matrix, psd_tol=DEFAULT_PSD_TOL):
     G = (G + G.T) / 2.0
     diag_scale = float(np.max(np.abs(np.diag(G)), initial=0.0)) or 1.0
     lowest = float(np.linalg.eigvalsh(G).min(initial=0.0))
-    if lowest < -psd_tol * diag_scale:
+    if lowest < -PSD_TOL * diag_scale:
         raise NonPSD(
             "gram matrix is not positive semidefinite: "
-            "eigenvalue %g < -%g * %g" % (lowest, psd_tol, diag_scale),
+            "eigenvalue %g < -%g * %g" % (lowest, PSD_TOL, diag_scale),
             eigenvalue=lowest,
         )
     return G
@@ -104,12 +105,9 @@ class Kernel:
     ground set).
     """
 
-    def __init__(self, variant, points, gram, psd_tol=DEFAULT_PSD_TOL,
-                 diagonal_load=0.0, _coords=None):
+    def __init__(self, variant, points, gram, _coords=None):
         self.variant = variant
         self.points = tuple(points)
-        self.psd_tol = float(psd_tol)
-        self.diagonal_load = float(diagonal_load)
         self._coords = _coords
 
         G = np.asarray(gram, dtype=float)
@@ -121,9 +119,7 @@ class Kernel:
             )
         if G.size == 0:
             raise InvalidInput("ground set is empty")
-        if self.diagonal_load:
-            G = G + self.diagonal_load * np.eye(G.shape[0])
-        G = checked_gram(G, self.psd_tol)
+        G = checked_gram(G)
         G.setflags(write=False)
         self._gram = G
 
@@ -158,16 +154,19 @@ class Kernel:
         return [p.label for p in self.points]
 
     def _id(self, x):
-        i = int(x)
-        if not 0 <= i < self.n:
-            raise InvalidInput("point id %d outside ground set of size %d" % (i, self.n))
+        """The integer id x, refusing a non-number, a fractional value or one
+        outside 0..n-1 rather than truncating or wrapping it."""
+        try:
+            i = int(x)
+        except (TypeError, ValueError, OverflowError):
+            i = None
+        if i is None or i != x or not 0 <= i < self.n:
+            raise InvalidInput("point id %s outside ground set of size %d" % (x, self.n))
         return i
 
     def _point(self, x):
         """Coordinates of a ground id, or raw coordinates of a point that may
         lie off the ground set; coordinate variants only."""
-        if self.variant not in PAIRINGS:
-            raise InvalidInput("%s kernels only evaluate at ground ids" % self.variant)
         if isinstance(x, _ID_TYPES):
             return self._coords[self._id(x)]
         if self.variant == "euclidean":
@@ -177,7 +176,7 @@ class Kernel:
     def eval(self, x, y):
         """k(x, y); x and y are ground ids or, for coordinate variants,
         raw coordinates."""
-        if isinstance(x, _ID_TYPES) and isinstance(y, _ID_TYPES):
+        if self._coords is None or (isinstance(x, _ID_TYPES) and isinstance(y, _ID_TYPES)):
             return float(self._gram[self._id(x), self._id(y)])
         a, b = self._point(x), self._point(y)
         return float(PAIRINGS[self.variant](a, b))
@@ -186,7 +185,7 @@ class Kernel:
         """Vector of k(x_i, z) over the ground set; z is a ground id or, for
         coordinate variants, raw coordinates (used for sampling embedded
         functions on a grid)."""
-        if isinstance(z, _ID_TYPES):
+        if self._coords is None or isinstance(z, _ID_TYPES):
             return np.array(self._gram[:, self._id(z)])
         b = self._point(z)
         return PAIRINGS[self.variant](self._coords, b)
@@ -212,44 +211,43 @@ class Kernel:
 
 # -- constructors ---------------------------------------------------------
 
-def explicit_gram(matrix, labels=None, psd_tol=DEFAULT_PSD_TOL, diagonal_load=0.0):
+def explicit_gram(matrix, labels=None):
     """Kernel from a precomputed Gram (or covariance) matrix."""
     G = np.asarray(matrix, dtype=float)
     n = G.shape[0] if G.ndim == 2 else 0
     labels = _check_labels(labels, n)
     points = [Point(i, None, labels[i]) for i in range(n)]
-    return Kernel("explicit-gram", points, G, psd_tol, diagonal_load)
+    return Kernel("explicit-gram", points, G)
 
 
-def euclidean(coords, labels=None, psd_tol=DEFAULT_PSD_TOL, diagonal_load=0.0):
+def euclidean(coords, labels=None):
     """Dot-product kernel on real vectors; coords is an (n, d) array."""
     C = np.atleast_2d(np.asarray(coords, dtype=float))
     labels = _check_labels(labels, C.shape[0])
     points = [Point(i, C[i].copy(), labels[i]) for i in range(C.shape[0])]
-    return Kernel("euclidean", points, euclidean_pairing(C, C), psd_tol, diagonal_load,
-                  _coords=C)
+    return Kernel("euclidean", points, euclidean_pairing(C, C), _coords=C)
 
 
-def fock(points, labels=None, psd_tol=DEFAULT_PSD_TOL, diagonal_load=0.0):
+def fock(points, labels=None):
     """Real Fock kernel Re e^{z conj(w)} on complex points.
 
     Points may be complex scalars or (a, b) pairs. Pairings with
     |z conj(w)| > 700 would overflow the exponential and raise DomainError.
     """
-    return _complex_kernel("fock", points, labels, psd_tol, diagonal_load)
+    return _complex_kernel("fock", points, labels)
 
 
-def hardy(points, labels=None, psd_tol=DEFAULT_PSD_TOL, diagonal_load=0.0):
+def hardy(points, labels=None):
     """Real Hardy kernel Re (1 + z conj(w))/(1 - z conj(w)); needs |z| < 1."""
-    return _complex_kernel("hardy", points, labels, psd_tol, diagonal_load)
+    return _complex_kernel("hardy", points, labels)
 
 
-def _complex_kernel(variant, points, labels, psd_tol, diagonal_load):
+def _complex_kernel(variant, points, labels):
     Z = _as_complex_array(points)
     labels = _check_labels(labels, Z.size)
     G = PAIRINGS[variant](Z, Z)
     pts = [Point(i, complex(Z[i]), labels[i]) for i in range(Z.size)]
-    return Kernel(variant, pts, G, psd_tol, diagonal_load, _coords=Z)
+    return Kernel(variant, pts, G, _coords=Z)
 
 
 def _check_labels(labels, n):

@@ -3,11 +3,13 @@
 Obstacle cells become Fock-space candidates, the solver finds the measure
 whose potential is zero on the blocking frontier and negative inside, and
 the gradient of that potential traces a path from the origin to infinity.
+That potential is the real part of one analytic function G, whose terms are
+built once from the solved atoms and the target; the potential field, the
+conjugate field and the path's gradient all read G.
 Coordinates are rescaled before solving so the kernel stays conditioned;
 every exported quantity is mapped back to the input frame.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -170,36 +172,41 @@ def solve_maze(spec, config=None):
     )
 
 
-def _weighted_points(mres):
-    """Weights and scaled points of the solved measure's nonzero atoms."""
+def _terms(mres):
+    """Coefficients c and conjugated exponents q of the margin's analytic part
+    G(z) = sum_j c_j e^{z q_j}, z in the scaled frame, so iota = Re G - r.
+
+    Each nonzero atom p_j enters with c = -w_j and q = conj(p_j * scale); the
+    target alpha, when set, with c = +1 and q = conj(alpha * scale). Fock
+    kernels only: no other variant makes the margin the real part of one
+    analytic function.
+    """
+    if mres.kernel.variant != "fock":
+        raise KernelNotAnalytic(
+            "maze fields need the analytic fock kernel, not %r" % mres.kernel.variant
+        )
     m = mres.result.measure
     held = m.weights != 0.0
-    return m.weights[held], np.asarray(mres.points)[m.ids[held]] * mres.scale
+    c = -m.weights[held]
+    p = np.asarray(mres.points)[m.ids[held]]
+    if mres.spec.target is not None:
+        c = np.append(c, 1.0)
+        p = np.append(p, mres.spec.target)
+    return c, np.conj(p * mres.scale)
 
 
-def _analytic_sum(mres, z_scaled):
-    """F(z) = sum_j w_j e^{z conj(p_j)} over the support, complex-valued."""
-    w, p = _weighted_points(mres)
-    expo = np.multiply.outer(z_scaled, np.conj(p))
-    return np.exp(expo) @ w
-
-
-def _psi_values(mres, z_scaled):
-    if mres.spec.target is None:
-        return np.zeros(np.shape(z_scaled))
-    alpha = complex(mres.spec.target) * mres.scale
-    return np.real(np.exp(z_scaled * np.conj(alpha)))
-
-
-def _grid(mres, resolution, bounds):
+def _sample(mres, resolution, bounds):
+    """Grid axes (top row first) and G over the grid, ys-major."""
+    c, q = _terms(mres)
     if bounds is None:
         r = mres.escape_radius
         bounds = (-r, r, -r, r)
     x0, x1, y0, y1 = bounds
     xs = np.linspace(x0, x1, resolution)
-    ys = np.linspace(y1, y0, resolution)  # top row first
+    ys = np.linspace(y1, y0, resolution)
     zx, zy = np.meshgrid(xs, ys)
-    return xs, ys, zx + 1j * zy
+    zs = (zx + 1j * zy) * mres.scale
+    return xs, ys, np.exp(np.multiply.outer(zs, q)) @ c
 
 
 def _to_raster(values):
@@ -211,64 +218,36 @@ def _to_raster(values):
 
 
 def potential_field(mres, resolution=256, bounds=None):
-    """The margin iota(z) = psi(z) - mu(z) - r sampled over a grid.
+    """The margin iota(z) = psi(z) - mu(z) - r = Re G(z) - r over a grid.
 
     Zero on the blocking frontier, negative behind it, positive where open
     space still improves the objective.
     """
-    xs, ys, zz = _grid(mres, resolution, bounds)
-    zs = zz * mres.scale
-    mu = np.real(_analytic_sum(mres, zs))
-    iota = _psi_values(mres, zs) - mu - mres.result.rate
+    xs, ys, g = _sample(mres, resolution, bounds)
+    iota = g.real - mres.result.rate
     return Field(xs=xs, ys=ys, values=iota, raster=_to_raster(iota))
 
 
 def conjugate_field(mres, resolution=256, bounds=None):
-    """Harmonic conjugate brightness: |Im F(z) - Im F(0)| normalized.
+    """Harmonic conjugate brightness: |Im G(z) - Im G(0)| normalized, where
+    Im G(0) = Im sum_j c_j = 0.
 
-    Level curves of the conjugate are the gradient flow lines of the
-    potential; the curve through the origin is the one the path follows.
-    Defined for analytic kernels only.
+    G is the potential's analytic part, target included, so level curves of
+    the conjugate are the gradient flow lines of the potential; the curve
+    through the origin is the one the path follows.
     """
-    if mres.kernel.variant not in ("fock", "hardy"):
-        raise KernelNotAnalytic(
-            "harmonic conjugate needs an analytic kernel, not %r" % mres.kernel.variant
-        )
-    xs, ys, zz = _grid(mres, resolution, bounds)
-    if mres.kernel.variant == "fock":
-        im = np.imag(_analytic_sum(mres, zz * mres.scale))
-        at0 = float(np.imag(_analytic_sum(mres, np.array([0j])))[0])
-    else:
-        w, p = _weighted_points(mres)
-        zs = zz * mres.scale
-        vals = np.zeros(zs.shape, dtype=complex)
-        for wj, pj in zip(w, p):
-            vals += wj * (1 + zs * np.conj(pj)) / (1 - zs * np.conj(pj))
-        im = np.imag(vals)
-        at0 = float(np.imag(np.sum(w * (1 + 0j))))
-    centered = np.abs(im - at0)
+    xs, ys, g = _sample(mres, resolution, bounds)
+    centered = np.abs(g.imag)
     return Field(xs=xs, ys=ys, values=centered, raster=_to_raster(centered))
 
 
-def _gradient(mres, z):
-    """Ascent direction of the potential at z (input frame).
+def _gradient(q, slope, zs):
+    """Ascent direction of the potential at the scaled point zs.
 
-    The potential's analytic part is psi_an - mu_an; the plane gradient of
-    its real part is the conjugate of the complex derivative. The constant
-    scale factor drops out after normalization.
+    The plane gradient of Re G is conj G'(zs), G' = sum_j c_j q_j e^{zs q_j}
+    with slope = c * q; the scale factor drops out after normalization.
     """
-    zs = complex(z) * mres.scale
-    m = mres.result.measure
-    d = 0j
-    for i, w in zip(m.ids.tolist(), m.weights.tolist()):
-        if w == 0.0:
-            continue
-        pj = complex(mres.points[i]) * mres.scale
-        d -= w * np.conj(pj) * cmath.exp(zs * np.conj(pj))
-    if mres.spec.target is not None:
-        alpha = complex(mres.spec.target) * mres.scale
-        d += np.conj(alpha) * cmath.exp(zs * np.conj(alpha))
-    return complex(np.conj(d))
+    return complex(np.conj(np.exp(zs * q) @ slope))
 
 
 def _clearance(spec, points, path):
@@ -295,6 +274,9 @@ def trace_path(mres, step_size=None, max_steps=10000):
     step = spec.cell_size / 4.0 if step_size is None else float(step_size)
     if step <= 0:
         raise InvalidInput("step_size must be positive")
+    c, q = _terms(mres)
+    slope = c * q
+    scale = mres.scale
     z = 0j
     path = [z]
     status = "max-steps"
@@ -302,12 +284,12 @@ def trace_path(mres, step_size=None, max_steps=10000):
     for _ in range(int(max_steps)):
         stalled = False
         for _ in range(4):
-            g1 = _gradient(mres, z)
+            g1 = _gradient(q, slope, z * scale)
             if abs(g1) < _GRAD_FLOOR:
                 stalled = True
                 break
             mid = z + h / 2.0 * g1 / abs(g1)
-            g2 = _gradient(mres, mid)
+            g2 = _gradient(q, slope, mid * scale)
             if abs(g2) < _GRAD_FLOOR:
                 stalled = True
                 break

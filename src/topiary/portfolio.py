@@ -25,7 +25,7 @@ from .errors import (
     TooFewRows,
     UnknownReferencePoint,
 )
-from .kernel import DEFAULT_PSD_TOL, checked_gram, explicit_gram
+from .kernel import checked_gram, explicit_gram
 from .solver import SolveConfig, solve
 
 RISK_FREE_LABEL = "risk-free"
@@ -52,7 +52,6 @@ class PortfolioSpec:
     annualize_factor: Optional[int] = None
     reference: Optional[msr.AtomicMeasure] = None
     rf_index: Optional[int] = None
-    psd_tol: float = DEFAULT_PSD_TOL
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
@@ -71,7 +70,7 @@ class PortfolioSpec:
             raise InvalidInput("annualize_factor must be a positive integer")
         if self.rf_index is not None and not (0 <= int(self.rf_index) < n):
             raise InvalidInput("rf_index %s outside the asset list" % (self.rf_index,))
-        checked_gram(cov, self.psd_tol)
+        checked_gram(cov)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
@@ -196,7 +195,7 @@ def reduce_adaptive(spec, kern=None):
     (psi', kernel, constant); the kernel is unchanged.
     """
     if kern is None:
-        kern = explicit_gram(spec.covariance, labels=spec.labels, psd_tol=spec.psd_tol)
+        kern = explicit_gram(spec.covariance, labels=spec.labels)
     nu = spec.reference
     if nu is None:
         return obj.as_psi(spec.mean, kern), kern, 0.0
@@ -220,9 +219,7 @@ def optimize_portfolio(spec, config=None):
     corrected, flagged = apply_risk_belief(spec)
     if corrected.risk_free_rate is not None and corrected.rf_index is None:
         corrected = add_risk_free(corrected)
-    kern = explicit_gram(
-        corrected.covariance, labels=corrected.labels, psd_tol=corrected.psd_tol
-    )
+    kern = explicit_gram(corrected.covariance, labels=corrected.labels)
     psi, kern, constant = reduce_adaptive(corrected, kern)
     cfg = config if config is not None else SolveConfig(algorithm="second-greedy")
     result = solve(kern, psi, cfg)

@@ -100,6 +100,20 @@ def test_oracle_matches_solve(problem_file, tmp_path):
     assert abs(weights[2] - 0.6) <= 1e-9
 
 
+@pytest.mark.parametrize("flag", [
+    ["--trace", "t.csv"], ["--algorithm", "greedy"], ["--max-iter", "1"],
+    ["--seed-point", "2"], ["--weight-tol", "1e-9"],
+], ids=lambda flag: flag[0])
+def test_oracle_refuses_iterative_solver_flags(problem_file, flag, tmp_path,
+                                               monkeypatch, capsys):
+    """The oracle reads only --input, --output, --tol and --json; a flag it
+    would ignore is an argument error, not a silent no-op."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.run(["oracle", "--input", problem_file] + flag) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not os.path.exists("t.csv")
+
+
 def test_oracle_thirteen_points_refused(tmp_path, capsys):
     path = tmp_path / "p13.json"
     fm.write_problem(str(path), krn.explicit_gram(np.eye(13)))
@@ -177,6 +191,9 @@ _MALFORMED = {
     "atom point string": ("--solution", {"atoms": [{"point": "x", "weight": 1.0}]}, []),
     "atom point negative": ("--solution", {"atoms": [{"point": -1, "weight": 1.0}]}, []),
     "atom point past the end": ("--solution", {"atoms": [{"point": 5, "weight": 1.0}]}, []),
+    "atom point fractional": ("--solution", {"atoms": [{"point": 1.7, "weight": 1.0}]}, []),
+    "spec annualize fractional": ("--spec", dict(_SPEC, annualize_factor=2.5), []),
+    "spec rf_index fractional": ("--spec", dict(_SPEC, rf_index=1.9), []),
     "base not an id": ("--solution", {"atoms": [{"point": 0, "weight": 1.0}]},
                        ["--base", "a,1"]),
     "base past the end": ("--solution", {"atoms": [{"point": 0, "weight": 1.0}]},

@@ -111,7 +111,7 @@ def _covariance_with_lowest_eigenvalue(lam, top=1e-4, other=1e-6):
 
 
 def test_psd_floor_shared_by_kernels_and_portfolio_specs():
-    # floor -psd_tol * max|diag| = -1e-9 * 1e-4; a floor of -psd_tol *
+    # floor -PSD_TOL * max|diag| = -1e-9 * 1e-4; a floor of -PSD_TOL *
     # max(max diag, 1) would let -1e-11 through the spec
     bad = _covariance_with_lowest_eigenvalue(-1e-11)
     with pytest.raises(tp.NonPSD) as exc:
@@ -229,8 +229,3 @@ def test_row_matches_eval_off_ground_set():
     r = k.row((z.real, z.imag))
     for i in range(k.n):
         assert r[i] == pytest.approx(k.eval(i, z), abs=1e-12)
-
-
-def test_diagonal_load_shifts_spectrum():
-    k = tp.explicit_gram([[1.0, 1.0], [1.0, 1.0]], diagonal_load=0.5)
-    assert np.allclose(k.gram, [[1.5, 1.0], [1.0, 1.5]])

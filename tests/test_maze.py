@@ -12,6 +12,15 @@ def single_cell(offset=1 + 0j, cell=1.0, **kw):
     return tp.MazeSpec(mask=mask, cell_size=cell, origin_offset=offset, **kw)
 
 
+def ring_gap(n=64, cell=0.05, r0=0.85, r1=1.15, gap_deg=25.0):
+    """Annulus of obstacle cells with a wedge cut out around the +x axis."""
+    centre = (np.arange(n) - (n - 1) / 2.0) * cell
+    x, y = centre[None, :], -centre[:, None]
+    radius = np.hypot(x, y)
+    angle = np.abs(np.degrees(np.arctan2(y, x)))
+    return (radius >= r0) & (radius <= r1) & (angle > gap_deg / 2.0)
+
+
 def ring3():
     mask = np.ones((3, 3), dtype=bool)
     mask[1, 1] = False
@@ -182,13 +191,52 @@ def test_conjugate_field_vanishes_on_real_axis_for_origin_atom():
 
 
 def test_conjugate_field_requires_analytic_kernel():
+    """Every reader of the analytic margin refuses a non-Fock kernel."""
     import dataclasses
 
     m = tp.solve_maze(single_cell())
-    k = tp.euclidean([(1.0, 0.0)])
-    fake = dataclasses.replace(m, kernel=k)
-    with pytest.raises(tp.KernelNotAnalytic):
-        tp.conjugate_field(fake, resolution=8)
+    for k in (tp.euclidean([(1.0, 0.0)]), tp.hardy([0.5 + 0j])):
+        fake = dataclasses.replace(m, kernel=k)
+        with pytest.raises(tp.KernelNotAnalytic):
+            tp.conjugate_field(fake, resolution=8)
+        with pytest.raises(tp.KernelNotAnalytic):
+            tp.potential_field(fake, resolution=8)
+        with pytest.raises(tp.KernelNotAnalytic):
+            tp.trace_path(fake)
+
+
+def _at(field_fn, m, z):
+    """A field's value at the single point z."""
+    return float(field_fn(m, resolution=1, bounds=(z.real, z.real, z.imag, z.imag)).values[0, 0])
+
+
+def test_conjugate_is_constant_along_path_with_target():
+    """With a target the conjugate still belongs to the full potential, so
+    the traced gradient path stays on the conjugate's level through 0."""
+    spec = tp.MazeSpec(mask=ring_gap(), cell_size=0.05, target=0.3 + 0.2j)
+    m = tp.solve_maze(spec)
+    assert m.trichotomy == "solved" and len(m.result.support()) > 1
+    path = tp.trace_path(m)
+    assert path.status == "escaped"
+    assert max(_at(tp.conjugate_field, m, z) for z in path.points) <= 1e-6
+
+
+@pytest.mark.parametrize("target", [None, 0.3 + 0.2j])
+def test_gradient_matches_potential_differences(target):
+    """The path's ascent direction is the direction of the potential's
+    central-difference gradient. Probed outside the ring: inside it the
+    gradient is ~1e-7 and the differences drown in round-off."""
+    from topiary import maze
+
+    m = tp.solve_maze(tp.MazeSpec(mask=ring_gap(), cell_size=0.05, target=target))
+    c, q = maze._terms(m)
+    h = 1e-4
+    for z in (1.6 - 0.9j, 2.0 + 1.0j, -1.5 + 0.5j, 0.2 - 1.6j):
+        dx = _at(tp.potential_field, m, z + h) - _at(tp.potential_field, m, z - h)
+        dy = _at(tp.potential_field, m, z + 1j * h) - _at(tp.potential_field, m, z - 1j * h)
+        fd = complex(dx, dy) / (2 * h)
+        g = maze._gradient(q, c * q, z * m.scale)
+        assert abs(g / abs(g) - fd / abs(fd)) <= 1e-6
 
 
 def test_boundary_support_on_thick_mask():

@@ -214,10 +214,10 @@ def test_grow_set_includes_positive_margin():
     assert tp.grow_set(k, psi, [0, 2]) == (3,)
 
 
-@pytest.mark.parametrize("bad", [-1, 3])
+@pytest.mark.parametrize("bad", [-1, 3, 1.7])
 def test_point_ids_outside_ground_set_rejected(bad):
     """Every entry point taking a point id checks it against the ground set;
-    -1 no longer wraps round to the last point."""
+    -1 no longer wraps round to the last point, 1.7 is not truncated to 1."""
     k = tp.explicit_gram(np.diag([1.0, 2.0, 3.0]))
     psi = tp.PsiSpec.zero(k)
     mu = tp.delta(0)
@@ -233,7 +233,7 @@ def test_point_ids_outside_ground_set_rejected(bad):
     for name, call in calls.items():
         with pytest.raises(tp.InvalidInput, match="outside ground set"):
             call()
-            pytest.fail("%s accepted point id %d" % (name, bad))
+            pytest.fail("%s accepted point id %s" % (name, bad))
 
 
 def test_prune_set_zigzag(zigzag, zigzag_psi):
