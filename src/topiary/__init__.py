@@ -48,7 +48,6 @@ from .kernel import (
     FOCK_EXPONENT_GUARD,
     PSD_TOL,
     Kernel,
-    Point,
     euclidean,
     explicit_gram,
     fock,

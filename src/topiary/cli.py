@@ -67,7 +67,6 @@ def build_parser():
     solver_flags.add_argument(
         "--algorithm", choices=slv.ALGORITHMS, default=defaults.algorithm
     )
-    solver_flags.add_argument("--weight-tol", type=float, default=defaults.weight_tol)
     solver_flags.add_argument("--max-iter", type=int, default=defaults.max_iter)
     solver_flags.add_argument("--trace", metavar="PATH", help="iteration trace CSV")
     solver_flags.add_argument("--seed-point", type=int, metavar="ID")
@@ -158,7 +157,6 @@ def _solve_config(args):
     return slv.SolveConfig(
         algorithm=args.algorithm,
         margin_tol=args.tol,
-        weight_tol=args.weight_tol,
         max_iter=args.max_iter,
         trace=args.trace is not None,
         seed_point=args.seed_point,
@@ -336,15 +334,16 @@ def _cmd_maze(args):
     res = mres.result
     log.info("maze: %d cells, trichotomy %s, support %d",
              len(mres.points), mres.trichotomy, len(res.support()))
-    if args.field:
-        fm.write_pgm(args.field, mz.potential_field(mres, resolution=args.field_res).raster)
-    if args.conjugate:
-        fm.write_pgm(
-            args.conjugate, mz.conjugate_field(mres, resolution=args.field_res).raster
-        )
+    # compute everything before writing anything, so a refused flag leaves no output
+    rasters = [(path, draw(mres, resolution=args.field_res).raster)
+               for path, draw in ((args.field, mz.potential_field),
+                                  (args.conjugate, mz.conjugate_field)) if path]
     trace = None
     if args.path:
         trace = mz.trace_path(mres, step_size=args.step, max_steps=args.max_steps)
+    for path, raster in rasters:
+        fm.write_pgm(path, raster)
+    if trace is not None:
         fm.write_path(args.path, trace)
     extra = " trichotomy %s" % mres.trichotomy
     if trace is not None:

@@ -101,10 +101,11 @@ def capm_report(result, kern, psi, K=None):
         alphas = table.alphas(psi.values)[ids]
         member = np.abs(alphas) <= tol
         alphas = alphas.tolist()
+    labels = kern.labels()
     return [
         CapmRow(
             point_id=i,
-            label=kern.points[i].label,
+            label=labels[i],
             psi=float(psi.values[i]),
             mu_value=float(table.mu[i]),
             beta=b,

@@ -4,7 +4,17 @@ Exceptions are grouped by how an executable should exit: invalid input (2),
 numerical failure (3), non-convergence (4), internal invariant breach (5).
 The CLI maps ``exit_code`` directly; library callers can catch the family
 base classes.
+
+`integer`, `real` and `reals` are the one rule for a number that comes from
+outside, from a file or a caller. They refuse bools, strings, None,
+fractional integers, NaN, infinities and ragged arrays; every constructor
+that takes such numbers calls them and keeps the checked values.
 """
+
+import math
+import numbers
+
+import numpy as np
 
 
 class TopiaryError(Exception):
@@ -150,6 +160,59 @@ class DuplicatePointsWarning(UserWarning):
 
 class AtomRescueWarning(UserWarning):
     """drop_small_atoms refused to empty a measure; returned it unchanged."""
+
+
+def _is_number(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def integer(value, what, positive=False):
+    """value as an int that fits in 64 bits (at least 1 if positive); a
+    fractional value is refused, not truncated."""
+    if _is_number(value):
+        try:
+            i = int(value)
+        except (OverflowError, ValueError):
+            i = None
+        if i is not None and i == value and abs(i) < 2**63 and (i >= 1 or not positive):
+            return i
+    raise InvalidInput("%s must be %s, got %r"
+                       % (what, "a positive integer" if positive else "an integer", value))
+
+
+def real(value, what, positive=False):
+    """value as a finite float (above 0 if positive)."""
+    if _is_number(value):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x) and (x > 0 or not positive):
+            return x
+    raise InvalidInput("%s must be a %sfinite number, got %r"
+                       % (what, "positive " if positive else "", value))
+
+
+def reals(raw, what, ndim=1, kind=numbers.Real):
+    """raw as an array with ndim axes (rows of equal length) of finite
+    numbers; float, or complex when kind is numbers.Complex."""
+    dtype = complex if kind is numbers.Complex else float
+    numeric = "iufc" if dtype is complex else "iuf"
+    if isinstance(raw, np.ndarray) and raw.dtype.kind in numeric:
+        arr = np.asarray(raw, dtype=dtype)
+    else:
+        try:
+            arr = np.array(raw, dtype=object)
+            types = set(map(type, arr.flat))
+            ok = all(issubclass(t, kind) and t is not bool for t in types)
+            arr = arr.astype(dtype) if ok else None
+        except (TypeError, ValueError, OverflowError):
+            arr = None
+    if arr is None or arr.ndim != ndim or not np.isfinite(arr).all():
+        raise InvalidInput("%s must be %s" % (what, (
+            "a finite number", "a list of finite numbers",
+            "a list of equal-length rows of finite numbers")[min(ndim, 2)]))
+    return arr
 
 
 def exit_code_for(exc):

@@ -3,11 +3,15 @@
 Two hard requirements hold for every writer here: identical inputs produce
 byte-identical output (floats at 17 significant digits, fixed key and row
 orders, bare "\\n" line endings) and files land atomically (temp file in
-the target directory, then rename). Readers are strict; malformed input is
-an InvalidInput with coordinates, never a silent repair.
+the target directory, then rename). Readers check the JSON structure
+(objects, lists, required keys) and hand every number, raw, to the
+constructor that owns it; any InvalidInput carries the file name, and
+nothing is silently repaired.
 """
 
+import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -101,6 +105,16 @@ def write_json(path, payload):
     atomic_write_text(path, json_dumps(payload))
 
 
+@contextlib.contextmanager
+def _named(path):
+    """Put the file name in front of any InvalidInput raised inside."""
+    try:
+        yield
+    except InvalidInput as exc:
+        exc.args = ("%s: %s" % (path, exc),)
+        raise
+
+
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -122,14 +136,6 @@ def _load_json(path):
 
 # -- problem JSON ------------------------------------------------------------
 
-_VARIANT_TO_TYPE = {
-    "explicit-gram": "gram",
-    "euclidean": "euclidean",
-    "fock": "fock",
-    "hardy": "hardy",
-}
-
-
 def _coord_pairs(kern):
     coords = kern.coords
     if kern.variant == "euclidean":
@@ -138,7 +144,7 @@ def _coord_pairs(kern):
 
 
 def problem_payload(kern, psi=None):
-    block = {"type": _VARIANT_TO_TYPE[kern.variant]}
+    block = {"type": "gram" if kern.variant == "explicit-gram" else kern.variant}
     if kern.variant == "explicit-gram":
         block["gram"] = [[float(v) for v in row] for row in kern.gram]
     else:
@@ -158,83 +164,32 @@ def write_problem(path, kern, psi=None):
     write_json(path, problem_payload(kern, psi))
 
 
-# -- strict field readers ----------------------------------------------------
+# -- readers -------------------------------------------------------------------
 
-def _number(value, path, field, kind=float):
-    """kind(value), or an InvalidInput naming the file and the field; an int
-    field refuses a fractional value instead of truncating it."""
-    try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or (kind is int and number != value):
-        raise InvalidInput("%s: %s must be %s, got %r" % (
-            path, field, "an integer" if kind is int else "a number", value))
-    return number
-
-
-def _floats(raw, path, field, ndim=1):
-    """A non-empty float array with ndim axes and finite entries (rows of a
-    2-d field must have equal lengths), or an InvalidInput naming the file
-    and the field."""
-    try:
-        arr = np.array(raw, dtype=float)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.ndim != ndim or arr.size == 0 or not np.isfinite(arr).all():
-        raise InvalidInput(
-            "%s: %s must be a non-empty %s of finite numbers"
-            % (path, field, "list" if ndim == 1 else "list of equal-length rows")
-        )
-    return arr
-
-
-def _atoms(raw, path, field):
-    """(point id, weight) pairs from a list of {"point", "weight"} objects."""
-    if not isinstance(raw, list):
-        raise InvalidInput("%s: %s must be a list of atoms" % (path, field))
-    atoms = []
-    for i, entry in enumerate(raw):
-        where = "%s[%d]" % (field, i)
-        if not isinstance(entry, dict) or "point" not in entry or "weight" not in entry:
-            raise InvalidInput("%s: %s needs point and weight" % (path, where))
-        atoms.append((
-            _number(entry["point"], path, where + ".point", int),
-            _number(entry["weight"], path, where + ".weight"),
-        ))
-    return tuple(atoms)
+def _atoms(raw, field):
+    """(point id, weight) pairs, unchecked, from a list of {"point", "weight"}
+    objects."""
+    if not (isinstance(raw, list) and all(
+            isinstance(e, dict) and "point" in e and "weight" in e for e in raw)):
+        raise InvalidInput("%s must be a list of {point, weight} objects" % field)
+    return tuple((e["point"], e["weight"]) for e in raw)
 
 
 def read_problem(path):
     """Load a problem file, returning (Kernel, PsiSpec)."""
     payload = _load_json(path)
-    block = payload.get("kernel")
-    if not isinstance(block, dict):
-        raise InvalidInput("%s: missing kernel object" % path)
-    ktype = block.get("type")
-    labels = block.get("labels")
-    if ktype == "gram":
-        kern = krn.explicit_gram(_floats(block.get("gram"), path, "gram", 2), labels=labels)
-    elif ktype in ("euclidean", "fock", "hardy"):
-        pts = _floats(block.get("points"), path, "points", 2)
-        if ktype != "euclidean":
-            if pts.shape[1] != 2:
-                raise InvalidInput("%s: %s points need [re, im]" % (path, ktype))
-            pts = [complex(a, b) for a, b in pts.tolist()]
-        kern = getattr(krn, ktype)(pts, labels=labels)
-    else:
-        raise InvalidInput("%s: unknown kernel type %r" % (path, ktype))
-    values = payload.get("psi")
-    if values is None:
-        psi = obj.PsiSpec.zero(kern)
-    else:
-        values = _floats(values, path, "psi")
-        if len(values) != kern.n:
-            raise InvalidInput(
-                "%s: psi must list one value per point (%d)" % (path, kern.n)
-            )
-        psi = obj.PsiSpec.table(values)
-    return kern, psi
+    with _named(path):
+        block = payload.get("kernel")
+        if not isinstance(block, dict):
+            raise InvalidInput("missing kernel object")
+        ktype, labels = block.get("type"), block.get("labels")
+        if ktype == "gram":
+            kern = krn.explicit_gram(block.get("gram"), labels=labels)
+        elif ktype in ("euclidean", "fock", "hardy"):
+            kern = getattr(krn, ktype)(block.get("points"), labels=labels)
+        else:
+            raise InvalidInput("unknown kernel type %r" % (ktype,))
+        return kern, obj.as_psi(payload.get("psi"), kern)
 
 
 # -- measure JSON ------------------------------------------------------------
@@ -257,10 +212,11 @@ def read_measure(path):
     the solved probability measure."""
     payload = _load_json(path)
     field = "atoms" if "atoms" in payload else "weights"
-    if field not in payload:
-        raise InvalidInput("%s has neither atoms nor weights" % path)
-    kind = payload.get("kind", msr.PROBABILITY)
-    return msr.AtomicMeasure(_atoms(payload[field], path, field), kind=kind)
+    with _named(path):
+        if field not in payload:
+            raise InvalidInput("has neither atoms nor weights")
+        kind = payload.get("kind", msr.PROBABILITY)
+        return msr.AtomicMeasure(_atoms(payload[field], field), kind=kind)
 
 
 # -- result JSON -------------------------------------------------------------
@@ -405,27 +361,15 @@ def portfolio_spec_payload(spec):
 
 def read_portfolio_spec(path):
     payload = _load_json(path)
-    for key in ("labels", "mean", "covariance"):
-        if key not in payload:
-            raise InvalidInput("%s: portfolio spec needs %r" % (path, key))
-    reference = payload.get("reference")
-    if reference is not None:
-        reference = msr.AtomicMeasure(_atoms(reference, path, "reference"))
-    kwargs = {}
-    for key, kind in (("risk_free_rate", float), ("mean_shrink", float),
-                      ("var_inflate", float), ("annualize_factor", int), ("rf_index", int)):
-        if payload.get(key) is not None:
-            kwargs[key] = _number(payload[key], path, key, kind)
-    labels = payload["labels"]
-    if not isinstance(labels, list):
-        raise InvalidInput("%s: labels must be a list, got %r" % (path, labels))
-    return pf.PortfolioSpec(
-        labels=tuple(str(v) for v in labels),
-        mean=_floats(payload["mean"], path, "mean"),
-        covariance=_floats(payload["covariance"], path, "covariance", 2),
-        reference=reference,
-        **kwargs,
-    )
+    with _named(path):
+        for key in ("labels", "mean", "covariance"):
+            if key not in payload:
+                raise InvalidInput("portfolio spec needs %r" % key)
+        fields = {f.name: payload[f.name] for f in dataclasses.fields(pf.PortfolioSpec)
+                  if payload.get(f.name) is not None}
+        if "reference" in fields:
+            fields["reference"] = msr.AtomicMeasure(_atoms(fields["reference"], "reference"))
+        return pf.PortfolioSpec(**fields)
 
 
 def portfolio_payload(report):

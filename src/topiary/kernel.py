@@ -13,13 +13,12 @@ owns its finite ground set; its Gram and its duplicate groups are computed
 once.
 """
 
-from dataclasses import dataclass
-from typing import Optional
+import numbers
 import warnings
 
 import numpy as np
 
-from .errors import DomainError, DuplicatePointsWarning, InvalidInput, NonPSD
+from .errors import DomainError, DuplicatePointsWarning, InvalidInput, NonPSD, integer, reals
 
 # Re z*conj(w) beyond this overflows exp(); sqrt(700) ~ 26.45 is the largest
 # admissible point radius for the Fock variant.
@@ -30,18 +29,15 @@ PSD_TOL = 1e-9  # lowest admissible eigenvalue, relative to max|diag|
 _ID_TYPES = (int, np.integer)
 
 
-@dataclass(frozen=True)
-class Point:
-    id: int
-    coords: Optional[object] = None  # complex for fock/hardy, ndarray for euclidean
-    label: Optional[str] = None
-
-
 def _as_complex_array(points):
-    pts = np.asarray(points)
-    if pts.ndim == 2 and pts.shape[1] == 2 and not np.iscomplexobj(pts):
-        pts = pts[:, 0] + 1j * pts[:, 1]
-    return pts.astype(complex).reshape(-1)
+    """Complex scalars as they are; [re, im] rows need exactly two columns."""
+    try:
+        return reals(points, "points", 1, numbers.Complex)
+    except InvalidInput:
+        pairs = reals(points, "points", 2)
+    if pairs.shape[1] != 2:
+        raise InvalidInput("points need [re, im] rows, got %d columns" % pairs.shape[1])
+    return pairs[:, 0] + 1j * pairs[:, 1]
 
 
 # f(A, B)[i, j] = k(A[i], B[j]); a single point (a vector for euclidean, a
@@ -102,23 +98,18 @@ class Kernel:
 
     Immutable after construction; the Gram matrix is cached write-once and
     shared. Points are addressed by their integer id (position in the
-    ground set).
+    ground set); the constructors below check the numbers they are given.
     """
 
-    def __init__(self, variant, points, gram, _coords=None):
+    def __init__(self, variant, gram, labels=None, _coords=None):
         self.variant = variant
-        self.points = tuple(points)
         self._coords = _coords
-
         G = np.asarray(gram, dtype=float)
         if G.ndim != 2 or G.shape[0] != G.shape[1]:
             raise InvalidInput("gram matrix must be square, got shape %s" % (G.shape,))
-        if G.shape[0] != len(self.points):
-            raise InvalidInput(
-                "gram size %d does not match %d points" % (G.shape[0], len(self.points))
-            )
         if G.size == 0:
             raise InvalidInput("ground set is empty")
+        self._labels = _check_labels(labels, G.shape[0])
         G = checked_gram(G)
         G.setflags(write=False)
         self._gram = G
@@ -139,7 +130,7 @@ class Kernel:
 
     @property
     def n(self):
-        return len(self.points)
+        return len(self._labels)
 
     @property
     def gram(self):
@@ -151,27 +142,27 @@ class Kernel:
         return self._coords
 
     def labels(self):
-        return [p.label for p in self.points]
+        return list(self._labels)
 
     def _id(self, x):
-        """The integer id x, refusing a non-number, a fractional value or one
-        outside 0..n-1 rather than truncating or wrapping it."""
+        """The integer id x, refusing a non-integer or one outside 0..n-1
+        rather than truncating or wrapping it."""
         try:
-            i = int(x)
-        except (TypeError, ValueError, OverflowError):
-            i = None
-        if i is None or i != x or not 0 <= i < self.n:
-            raise InvalidInput("point id %s outside ground set of size %d" % (x, self.n))
+            i = integer(x, "point id")
+        except InvalidInput:
+            i = -1
+        if not 0 <= i < self.n:
+            raise InvalidInput("point id %r outside ground set of size %d" % (x, self.n))
         return i
 
     def _point(self, x):
-        """Coordinates of a ground id, or raw coordinates of a point that may
-        lie off the ground set; coordinate variants only."""
+        """Coordinates of a ground id, or checked raw coordinates of a point
+        that may lie off the ground set; coordinate variants only."""
         if isinstance(x, _ID_TYPES):
             return self._coords[self._id(x)]
         if self.variant == "euclidean":
-            return np.asarray(x, dtype=float)
-        return complex(x[0], x[1]) if isinstance(x, (tuple, list)) else complex(x)
+            return reals(x, "point", 1)
+        return _as_complex_array([x]).item()  # a complex scalar or one [re, im] pair
 
     def eval(self, x, y):
         """k(x, y); x and y are ground ids or, for coordinate variants,
@@ -213,25 +204,19 @@ class Kernel:
 
 def explicit_gram(matrix, labels=None):
     """Kernel from a precomputed Gram (or covariance) matrix."""
-    G = np.asarray(matrix, dtype=float)
-    n = G.shape[0] if G.ndim == 2 else 0
-    labels = _check_labels(labels, n)
-    points = [Point(i, None, labels[i]) for i in range(n)]
-    return Kernel("explicit-gram", points, G)
+    return Kernel("explicit-gram", reals(matrix, "gram", 2), labels)
 
 
 def euclidean(coords, labels=None):
     """Dot-product kernel on real vectors; coords is an (n, d) array."""
-    C = np.atleast_2d(np.asarray(coords, dtype=float))
-    labels = _check_labels(labels, C.shape[0])
-    points = [Point(i, C[i].copy(), labels[i]) for i in range(C.shape[0])]
-    return Kernel("euclidean", points, euclidean_pairing(C, C), _coords=C)
+    C = reals(coords, "points", 2)
+    return Kernel("euclidean", euclidean_pairing(C, C), labels, _coords=C)
 
 
 def fock(points, labels=None):
     """Real Fock kernel Re e^{z conj(w)} on complex points.
 
-    Points may be complex scalars or (a, b) pairs. Pairings with
+    Points may be complex scalars or [re, im] pairs. Pairings with
     |z conj(w)| > 700 would overflow the exponential and raise DomainError.
     """
     return _complex_kernel("fock", points, labels)
@@ -244,18 +229,14 @@ def hardy(points, labels=None):
 
 def _complex_kernel(variant, points, labels):
     Z = _as_complex_array(points)
-    labels = _check_labels(labels, Z.size)
-    G = PAIRINGS[variant](Z, Z)
-    pts = [Point(i, complex(Z[i]), labels[i]) for i in range(Z.size)]
-    return Kernel(variant, pts, G, _coords=Z)
+    return Kernel(variant, PAIRINGS[variant](Z, Z), labels, _coords=Z)
 
 
 def _check_labels(labels, n):
     if labels is None:
-        return [None] * n
+        return (None,) * n
     if not isinstance(labels, (list, tuple)):
         raise InvalidInput("labels must be a list, got %s" % type(labels).__name__)
-    labels = list(labels)
     if len(labels) != n:
         raise InvalidInput("got %d labels for %d points" % (len(labels), n))
-    return labels
+    return tuple(labels)

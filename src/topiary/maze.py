@@ -11,6 +11,7 @@ every exported quantity is mapped back to the input frame.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import measure as msr
 from . import objective as obj
-from .errors import EmptyMask, InvalidInput, KernelNotAnalytic, StartInsideObstacle
+from .errors import EmptyMask, KernelNotAnalytic, StartInsideObstacle, integer, real, reals
 from .kernel import fock
 from .solver import SolveConfig, TopiaryResult, solve
 
@@ -42,14 +43,15 @@ class MazeSpec:
             raise EmptyMask("mask must be a non-empty 2-D grid")
         if not mask.any():
             raise EmptyMask("mask has no obstacle cells")
-        if not (self.cell_size > 0):
-            raise InvalidInput("cell_size must be positive")
-        if self.escape_radius != "auto" and not (float(self.escape_radius) > 0):
-            raise InvalidInput("escape_radius must be positive or 'auto'")
         object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "origin_offset", complex(self.origin_offset))
-        if self.target is not None:
-            object.__setattr__(self, "target", complex(self.target))
+        object.__setattr__(self, "cell_size", real(self.cell_size, "cell_size", positive=True))
+        if self.escape_radius != "auto":
+            radius = real(self.escape_radius, "escape_radius (or 'auto')", positive=True)
+            object.__setattr__(self, "escape_radius", radius)
+        for key in ("origin_offset", "target"):
+            if getattr(self, key) is not None:
+                z = reals(getattr(self, key), key, 0, numbers.Complex)
+                object.__setattr__(self, key, complex(z))
 
 
 @dataclass(frozen=True)
@@ -130,9 +132,7 @@ def solve_maze(spec, config=None):
     points, cells = _cell_centers(spec)
     radius = float(np.abs(points).max())
     scale = min(1.0, FOCK_SAFE_RADIUS / radius) if radius > 0 else 1.0
-    escape = (
-        ESCAPE_FACTOR * radius if spec.escape_radius == "auto" else float(spec.escape_radius)
-    )
+    escape = ESCAPE_FACTOR * radius if spec.escape_radius == "auto" else spec.escape_radius
     kern = fock(points * scale)
     cfg = config if config is not None else SolveConfig(
         algorithm="exchange", margin_tol=MAZE_MARGIN_TOL
@@ -198,6 +198,7 @@ def _terms(mres):
 def _sample(mres, resolution, bounds):
     """Grid axes (top row first) and G over the grid, ys-major."""
     c, q = _terms(mres)
+    resolution = integer(resolution, "resolution", positive=True)
     if bounds is None:
         r = mres.escape_radius
         bounds = (-r, r, -r, r)
@@ -271,9 +272,8 @@ def trace_path(mres, step_size=None, max_steps=10000):
     spec = mres.spec
     if _containing_cell(spec, 0j, mres.points) is not None:
         raise StartInsideObstacle("the origin lies inside an obstacle cell")
-    step = spec.cell_size / 4.0 if step_size is None else float(step_size)
-    if step <= 0:
-        raise InvalidInput("step_size must be positive")
+    step = spec.cell_size / 4.0 if step_size is None else real(step_size, "step_size", True)
+    max_steps = integer(max_steps, "max_steps", positive=True)
     c, q = _terms(mres)
     slope = c * q
     scale = mres.scale
@@ -281,7 +281,7 @@ def trace_path(mres, step_size=None, max_steps=10000):
     path = [z]
     status = "max-steps"
     h = step / 4.0
-    for _ in range(int(max_steps)):
+    for _ in range(max_steps):
         stalled = False
         for _ in range(4):
             g1 = _gradient(q, slope, z * scale)

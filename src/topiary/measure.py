@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 
-from .errors import AtomRescueWarning, InvalidInput, TOutOfRange
+from .errors import AtomRescueWarning, InvalidInput, TOutOfRange, integer, real, reals
 
 PROBABILITY = "probability"
 SIGNED = "signed"
@@ -30,7 +30,7 @@ class AtomicMeasure:
     def __post_init__(self):
         if self.kind not in (PROBABILITY, SIGNED):
             raise InvalidInput("measure kind must be probability or signed")
-        atoms = tuple((int(i), float(w)) for i, w in self.atoms)
+        atoms = tuple((integer(i, "atom id"), real(w, "atom weight")) for i, w in self.atoms)
         by_id = dict(atoms)
         if len(by_id) != len(atoms):
             raise InvalidInput("measure atoms repeat a point id")
@@ -82,8 +82,8 @@ def delta(point_id):
 def probability(ids, weights, weight_tol=0.0):
     """Probability measure from parallel arrays; clamps round-off negatives
     and renormalizes. Atoms at or below weight_tol are dropped."""
-    ids = np.asarray(ids, dtype=int)
-    w = np.asarray(weights, dtype=float).copy()
+    ids = np.asarray(ids)
+    w = reals(weights, "weights")
     if w.min(initial=0.0) < -1e-9:
         raise InvalidInput("weight %g too negative for a probability measure" % w.min())
     w = np.maximum(w, 0.0)
@@ -98,9 +98,9 @@ def probability(ids, weights, weight_tol=0.0):
 
 
 def signed(ids, weights):
-    order = np.argsort(np.asarray(ids, dtype=int))
-    ids = np.asarray(ids, dtype=int)[order]
-    w = np.asarray(weights, dtype=float)[order]
+    order = np.argsort(ids)
+    ids = np.asarray(ids)[order]
+    w = np.asarray(weights)[order]
     return AtomicMeasure(tuple(zip(ids.tolist(), w.tolist())), SIGNED)
 
 
@@ -157,7 +157,7 @@ def convex_combine(mu, x, t):
         raise InvalidInput("convex_combine needs a probability measure")
     if not 0.0 <= t <= 1.0:
         raise TOutOfRange("t = %.17g outside [0, 1]" % t)
-    x = int(x)
+    x = integer(x, "point id")
     out = {i: (1.0 - t) * w for i, w in mu.atoms}
     out[x] = out.get(x, 0.0) + t
     atoms = tuple(sorted((i, w) for i, w in out.items() if w != 0.0))

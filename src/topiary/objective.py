@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, ZeroPortfolio
+from .errors import InvalidInput, ZeroPortfolio, real, reals
 
 DEFAULT_MARGIN_TOL = 1e-8
 
@@ -35,13 +35,9 @@ class PsiSpec:
     """
 
     def __init__(self, values, form="table", norm=None):
-        self.values = np.asarray(values, dtype=float)
-        if self.values.ndim != 1:
-            raise InvalidInput("psi must be a flat table of per-point values")
-        if not np.isfinite(self.values).all():
-            raise InvalidInput("psi contains non-finite values")
+        self.values = reals(values, "psi")
         self.form = form
-        self.norm = None if norm is None else float(norm)
+        self.norm = None if norm is None else real(norm, "psi norm")
 
     @staticmethod
     def table(values):
@@ -126,7 +122,7 @@ def margin_table(measure, psi, kern, candidates=None):
     if candidates is None:
         cand = np.arange(kern.n)
     else:
-        cand = np.asarray(sorted(candidates), dtype=int)
+        cand = np.asarray(sorted(kern._id(c) for c in candidates), dtype=int)
         if cand.size == 0:
             raise InvalidInput("score needs a non-empty candidate set")
     G = kern.gram

@@ -9,7 +9,8 @@ pins the topiaric rate to the risk-free rate whenever cash is held.
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
@@ -24,6 +25,9 @@ from .errors import (
     RaggedRow,
     TooFewRows,
     UnknownReferencePoint,
+    integer,
+    real,
+    reals,
 )
 from .kernel import checked_gram, explicit_gram
 from .solver import SolveConfig, solve
@@ -54,26 +58,31 @@ class PortfolioSpec:
     rf_index: Optional[int] = None
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.covariance, dtype=float)
-        labels = tuple(str(l) for l in self.labels)
-        n = len(labels)
-        if mean.shape != (n,):
-            raise InvalidInput("need one mean per asset, got %s for %d" % (mean.shape, n))
-        if cov.shape != (n, n):
-            raise InvalidInput("covariance is %s for %d assets" % (cov.shape, n))
+        if not isinstance(self.labels, (list, tuple)):
+            raise InvalidInput("labels must be a list, got %r" % (self.labels,))
+        keep = partial(object.__setattr__, self)
+        keep("labels", tuple(str(l) for l in self.labels))
+        keep("mean", reals(self.mean, "mean"))
+        keep("covariance", reals(self.covariance, "covariance", 2))
+        keep("mean_shrink", real(self.mean_shrink, "mean_shrink"))
+        keep("var_inflate", real(self.var_inflate, "var_inflate"))
+        for key, check, positive in (("risk_free_rate", real, False),
+                                     ("annualize_factor", integer, True),
+                                     ("rf_index", integer, False)):
+            if getattr(self, key) is not None:
+                keep(key, check(getattr(self, key), key, positive))
+        n = len(self.labels)
+        if self.mean.shape != (n,):
+            raise InvalidInput("need one mean per asset, got %s for %d" % (self.mean.shape, n))
+        if self.covariance.shape != (n, n):
+            raise InvalidInput("covariance is %s for %d assets" % (self.covariance.shape, n))
         if not (0.0 <= self.mean_shrink <= 1.0):
             raise InvalidInput("mean_shrink must lie in [0, 1]")
         if self.var_inflate < 0.0:
             raise InvalidInput("var_inflate must be nonnegative")
-        if self.annualize_factor is not None and int(self.annualize_factor) < 1:
-            raise InvalidInput("annualize_factor must be a positive integer")
-        if self.rf_index is not None and not (0 <= int(self.rf_index) < n):
+        if self.rf_index is not None and not (0 <= self.rf_index < n):
             raise InvalidInput("rf_index %s outside the asset list" % (self.rf_index,))
-        checked_gram(cov)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
+        checked_gram(self.covariance)
 
     @property
     def n(self):
@@ -115,7 +124,7 @@ def ingest_returns(table, annualize_factor=None):
         if len(row) != ncol:
             raise RaggedRow("row %d has %d cells, header has %d" % (i + 1, len(row), ncol))
         for j, cell in enumerate(row):
-            if isinstance(cell, numbers.Real):
+            if isinstance(cell, numbers.Real) and not isinstance(cell, bool):
                 data[i, j] = float(cell)
                 continue
             try:
@@ -131,7 +140,8 @@ def ingest_returns(table, annualize_factor=None):
             "cell at row %d, column %d is not finite" % (bad[0] + 1, bad[1] + 1)
         )
     nrows = data.shape[0]
-    factor = 1 if annualize_factor is None else int(annualize_factor)
+    factor = integer(1 if annualize_factor is None else annualize_factor,
+                     "annualize_factor", positive=True)
     cols = [[Fraction(v) for v in data[:, j]] for j in range(ncol)]
     mean_fr = [sum(col) / nrows for col in cols]
     dev = [[v - m for v in col] for col, m in zip(cols, mean_fr)]
@@ -155,8 +165,8 @@ def apply_risk_belief(spec):
     the incentive to go all in. The risk-free asset itself is exempt.
     """
     r = spec.risk_free_rate if spec.risk_free_rate is not None else 0.0
-    s = float(spec.mean_shrink)
-    lam = float(spec.var_inflate)
+    s = spec.mean_shrink
+    lam = spec.var_inflate
     mean = r + (1.0 - s) * (spec.mean - r)
     cov = spec.covariance + lam * np.diag(np.diag(spec.covariance))
     corrected = replace(spec, mean=mean, covariance=cov, mean_shrink=0.0, var_inflate=0.0)
@@ -181,7 +191,7 @@ def add_risk_free(spec):
     return replace(
         spec,
         labels=spec.labels + (RISK_FREE_LABEL,),
-        mean=np.append(spec.mean, float(spec.risk_free_rate)),
+        mean=np.append(spec.mean, spec.risk_free_rate),
         covariance=cov,
         rf_index=n,
     )
@@ -236,7 +246,7 @@ def optimize_portfolio(spec, config=None):
         rate=result.rate,
         variance=msr.norm_sq(result.measure, kern),
         flagged=flagged,
-        corrections=(float(spec.mean_shrink), float(spec.var_inflate)),
+        corrections=(spec.mean_shrink, spec.var_inflate),
         capm=tuple(capm_report(result, kern, psi)),
         sml=sml_points(result, kern, psi),
         adaptive_constant=constant,

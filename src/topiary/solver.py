@@ -45,6 +45,8 @@ from .errors import (
     NotAnIndex,
     NotPrunable,
     TooLarge,
+    integer,
+    real,
 )
 
 log = logging.getLogger("topiary.solver")
@@ -56,6 +58,9 @@ DECONSTRUCT_CAP = 16
 # singular; never regularized silently
 SINGULARITY_RTOL = 1e-10
 
+# dust: a finished measure, an exchange step and the polish drop atoms this light
+WEIGHT_TOL = 1e-10
+
 _DRIFT_EVERY = 256
 _DRIFT_TOL = 1e-9
 
@@ -66,7 +71,6 @@ ALGORITHMS = ("greedy", "second-greedy", "exchange")
 class SolveConfig:
     algorithm: str = "exchange"
     margin_tol: float = obj.DEFAULT_MARGIN_TOL
-    weight_tol: float = 1e-10
     max_iter: int = 100000
     trace: bool = False
     seed_point: Optional[int] = None
@@ -76,10 +80,10 @@ class SolveConfig:
             raise InvalidInput(
                 "algorithm must be one of %s, got %r" % (", ".join(ALGORITHMS), self.algorithm)
             )
-        if not (self.margin_tol > 0 and self.weight_tol > 0):
-            raise InvalidInput("tolerances must be positive")
-        if self.max_iter < 1:
-            raise InvalidInput("max_iter must be at least 1")
+        self.margin_tol = real(self.margin_tol, "margin_tol", positive=True)
+        self.max_iter = integer(self.max_iter, "max_iter", positive=True)
+        if self.seed_point is not None:
+            self.seed_point = integer(self.seed_point, "seed_point")
 
 
 @dataclass(frozen=True)
@@ -182,7 +186,7 @@ class SolverState:
         if start is None:
             seed = self.config.seed_point
             if seed is not None:
-                seed = self._to_candidate(int(seed))
+                seed = self._to_candidate(seed)
             else:
                 diag = np.diag(self.G)[self.candidates]
                 vals = self.psi_values[self.candidates] - diag / 2.0
@@ -383,7 +387,7 @@ def _try_polish(state):
         except NotPrunable:
             return False
         worst = int(np.argmin(v))
-        if v[worst] >= -state.config.weight_tol:
+        if v[worst] >= -WEIGHT_TOL:
             break
         dropped.append(S.pop(worst))
         if not S:
@@ -459,10 +463,10 @@ def grow_set(kern, psi, A, candidates=None, config=None):
     return tuple(sorted(x for x in pool if x not in a_set and iota[x] > cfg.margin_tol))
 
 
-def prune_set(kern, psi, A, weight_tol=1e-10):
+def prune_set(kern, psi, A):
     """Support of the negative part of hedge(A)."""
     h, _ = hedge(kern, psi, A)
-    return tuple(sorted(int(i) for i, w in h.atoms if w < -weight_tol))
+    return tuple(sorted(int(i) for i, w in h.atoms if w < -WEIGHT_TOL))
 
 
 def _validate_subset(kern, A):
@@ -530,7 +534,7 @@ def _exchange_core(state, x):
         w[S] -= t * v
         w[x] += t
         np.maximum(w, 0.0, out=w)
-        for i in S[w[S] < cfg.weight_tol]:
+        for i in S[w[S] < WEIGHT_TOL]:
             dropped.append(int(i))
             w[i] = 0.0
         w /= w.sum()
@@ -615,7 +619,7 @@ def _finish(state, algorithm):
         )
 
     m0 = state.measure()
-    result = evaluate(msr.drop_small_atoms(m0, cfg.weight_tol))
+    result = evaluate(msr.drop_small_atoms(m0, WEIGHT_TOL))
     if result.measure is not m0 and not _certificate_holds(result):
         # dropping a dust atom must not cost the certificate
         full = evaluate(m0)

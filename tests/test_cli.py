@@ -5,7 +5,9 @@ separation are observable without forking; one subprocess test at the end
 confirms the `python -m topiary` entry point and TOPIARY_LOG wiring.
 """
 
+import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -182,6 +184,8 @@ _MALFORMED = {
     "euclidean point": ("--input", _problem(
         {"type": "euclidean", "points": [[1.0, "z"], [0.0, 1.0]]}), []),
     "spec mean": ("--spec", dict(_SPEC, mean=["x", 0.2]), []),
+    "spec mean numeric string": ("--spec", dict(_SPEC, mean=["0.1", 0.2]), []),
+    "spec mean_shrink numeric string": ("--spec", dict(_SPEC, mean_shrink="0.5"), []),
     "spec reference": ("--spec", dict(_SPEC, reference=[{"weight": 1.0}]), []),
     "spec labels number": ("--spec", dict(_SPEC, labels=5), []),
     "spec labels string": ("--spec", dict(_SPEC, labels="ab"), []),
@@ -192,6 +196,7 @@ _MALFORMED = {
     "atom point negative": ("--solution", {"atoms": [{"point": -1, "weight": 1.0}]}, []),
     "atom point past the end": ("--solution", {"atoms": [{"point": 5, "weight": 1.0}]}, []),
     "atom point fractional": ("--solution", {"atoms": [{"point": 1.7, "weight": 1.0}]}, []),
+    "atom weight nan": ("--solution", {"atoms": [{"point": 0, "weight": math.nan}]}, []),
     "spec annualize fractional": ("--spec", dict(_SPEC, annualize_factor=2.5), []),
     "spec rf_index fractional": ("--spec", dict(_SPEC, rf_index=1.9), []),
     "base not an id": ("--solution", {"atoms": [{"point": 0, "weight": 1.0}]},
@@ -220,6 +225,39 @@ def test_malformed_input_is_exit_2(case, tmp_path, capsys):
     assert rc == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def _numeric_flags():
+    """(subcommand, flag) for every int or float flag, and --escape-radius."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [(name, action.option_strings[0])
+            for name, command in sorted(sub.choices.items())
+            for action in command._actions
+            if action.type in (int, float) or "--escape-radius" in action.option_strings]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize("command,flag", _numeric_flags())
+def test_numeric_flag_sweep(command, flag, value, problem_file, tmp_path, capsys):
+    """Any value of a numeric flag ends in a documented exit code, and a
+    non-finite one is bad input (exit 2) that writes nothing."""
+    returns = tmp_path / "returns.csv"
+    returns.write_text("a,b\n0.3,-0.1\n0.1,0.1\n0.2,0.0\n")
+    mask = tmp_path / "mask.txt"
+    mask.write_text(ring_gap_text(n=12, cell=0.2, r0=0.5, r1=0.9, gap_deg=60.0))
+    field = tmp_path / "field.pgm"
+    base = {
+        "portfolio": ["--returns", str(returns)],
+        "maze": ["--mask", str(mask), "--cell-size", "0.2", "--field-res", "8",
+                 "--field", str(field), "--path", str(tmp_path / "path.csv")],
+    }.get(command, ["--input", problem_file])
+    rc = cli.run([command] + base + ["%s=%s" % (flag, value)])
+    capsys.readouterr()
+    assert rc in (0, 2, 3, 4)
+    if not math.isfinite(float(value)):
+        assert rc == 2
+        assert not field.exists()
 
 
 def test_max_iter_exhaustion_is_exit_4(problem_file, capsys):
