@@ -47,10 +47,9 @@ end = trace.points[-1]
 print("  path %s after %d steps, exit at (%+.2f, %+.2f), clearance %.3f"
       % (trace.status, len(trace.points), end.real, end.imag, trace.clearance))
 
-formats.write_pgm(os.path.join(OUT, "field.pgm"),
-                  maze.potential_field(m, resolution=256).raster)
-formats.write_pgm(os.path.join(OUT, "conjugate.pgm"),
-                  maze.conjugate_field(m, resolution=256).raster)
+potential, conjugate = maze.fields(m, resolution=256)
+formats.write_pgm(os.path.join(OUT, "field.pgm"), potential.raster)
+formats.write_pgm(os.path.join(OUT, "conjugate.pgm"), conjugate.raster)
 formats.write_path(os.path.join(OUT, "path.csv"), trace)
 print("  wrote field.pgm / conjugate.pgm / path.csv")
 

@@ -139,6 +139,7 @@ from .maze import (
     PathTrace,
     conjugate_field,
     discrete_boundary,
+    fields,
     potential_field,
     rasterize,
     solve_maze,

@@ -335,9 +335,11 @@ def _cmd_maze(args):
     log.info("maze: %d cells, trichotomy %s, support %d",
              len(mres.points), mres.trichotomy, len(res.support()))
     # compute everything before writing anything, so a refused flag leaves no output
-    rasters = [(path, draw(mres, resolution=args.field_res).raster)
-               for path, draw in ((args.field, mz.potential_field),
-                                  (args.conjugate, mz.conjugate_field)) if path]
+    rasters = []
+    if args.field or args.conjugate:
+        drawn = mz.fields(mres, resolution=args.field_res)
+        rasters = [(path, f.raster) for path, f in zip((args.field, args.conjugate), drawn)
+                   if path]
     trace = None
     if args.path:
         trace = mz.trace_path(mres, step_size=args.step, max_steps=args.max_steps)

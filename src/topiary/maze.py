@@ -19,7 +19,15 @@ import numpy as np
 
 from . import measure as msr
 from . import objective as obj
-from .errors import EmptyMask, KernelNotAnalytic, StartInsideObstacle, integer, real, reals
+from .errors import (
+    EmptyMask,
+    InvalidInput,
+    KernelNotAnalytic,
+    StartInsideObstacle,
+    integer,
+    real,
+    reals,
+)
 from .kernel import fock
 from .solver import SolveConfig, TopiaryResult, solve
 
@@ -196,13 +204,19 @@ def _terms(mres):
 
 
 def _sample(mres, resolution, bounds):
-    """Grid axes (top row first) and G over the grid, ys-major."""
+    """Grid axes (top row first) and G over the grid, ys-major. bounds is
+    (x0, x1, y0, y1) with x0 <= x1 and y0 <= y1; a zero-width side samples a
+    line or, at resolution 1, one point."""
     c, q = _terms(mres)
     resolution = integer(resolution, "resolution", positive=True)
     if bounds is None:
         r = mres.escape_radius
         bounds = (-r, r, -r, r)
-    x0, x1, y0, y1 = bounds
+    box = reals(bounds, "bounds")
+    if box.shape != (4,) or box[0] > box[1] or box[2] > box[3]:
+        raise InvalidInput("bounds must be four finite numbers x0 <= x1, y0 <= y1, got %r"
+                           % (bounds,))
+    x0, x1, y0, y1 = box.tolist()
     xs = np.linspace(x0, x1, resolution)
     ys = np.linspace(y1, y0, resolution)
     zx, zy = np.meshgrid(xs, ys)
@@ -224,9 +238,7 @@ def potential_field(mres, resolution=256, bounds=None):
     Zero on the blocking frontier, negative behind it, positive where open
     space still improves the objective.
     """
-    xs, ys, g = _sample(mres, resolution, bounds)
-    iota = g.real - mres.result.rate
-    return Field(xs=xs, ys=ys, values=iota, raster=_to_raster(iota))
+    return fields(mres, resolution, bounds)[0]
 
 
 def conjugate_field(mres, resolution=256, bounds=None):
@@ -237,9 +249,14 @@ def conjugate_field(mres, resolution=256, bounds=None):
     the conjugate are the gradient flow lines of the potential; the curve
     through the origin is the one the path follows.
     """
+    return fields(mres, resolution, bounds)[1]
+
+
+def fields(mres, resolution=256, bounds=None):
+    """(potential_field, conjugate_field) from one sample of G over the grid."""
     xs, ys, g = _sample(mres, resolution, bounds)
-    centered = np.abs(g.imag)
-    return Field(xs=xs, ys=ys, values=centered, raster=_to_raster(centered))
+    return tuple(Field(xs=xs, ys=ys, values=v, raster=_to_raster(v))
+                 for v in (g.real - mres.result.rate, np.abs(g.imag)))
 
 
 def _gradient(q, slope, zs):

@@ -7,11 +7,10 @@ covariance row is zero; its embedding is the zero element, which is what
 pins the topiaric rate to the risk-free rate whenever cash is held.
 """
 
-import math
 import numbers
+import operator
 from dataclasses import dataclass, replace
 from functools import partial
-from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -103,6 +102,16 @@ class PortfolioReport:
     adaptive_constant: float
 
 
+def _rounded(num, den, what, *assets):
+    """num / den rounded once to a double; a value beyond the double range is
+    refused, naming the moment and its asset or asset pair."""
+    try:
+        return num / den
+    except OverflowError:
+        raise InvalidInput("%s of %s overflows a double"
+                           % (what, " and ".join(map(repr, assets)))) from None
+
+
 def ingest_returns(table, annualize_factor=None):
     """Sample mean and covariance (denominator rows - 1) per asset.
 
@@ -110,10 +119,14 @@ def ingest_returns(table, annualize_factor=None):
     parse is an error carrying its row and column, never imputed.
     Annualization, when requested, multiplies both moments by the factor.
 
-    Moments are accumulated in exact rational arithmetic (every float is a
-    dyadic rational) and rounded once on exit, so hand-checkable fractions
-    like 1/75 come out as exactly that double. Return tables are desk scale;
-    exactness is worth more here than vectorized speed.
+    Every moment is the exact rational value rounded once to the nearest
+    double, so hand-checkable fractions like 1/75 come out as exactly that
+    double. Every double is a dyadic rational, so column j is scaled to
+    integers X_ij over its largest denominator 2^e_j; with S_j = sum_i X_ij
+    and D_ij = n X_ij - S_j, the mean is S_j f / (n 2^e_j) and the covariance
+    sum_i D_ij D_ik f / (n^2 (n-1) 2^(e_j+e_k)), each one int/int true
+    division, which Python rounds correctly. A moment beyond the double range
+    is refused with InvalidInput naming its asset or asset pair.
     """
     labels = table.labels
     ncol = len(labels)
@@ -142,15 +155,25 @@ def ingest_returns(table, annualize_factor=None):
     nrows = data.shape[0]
     factor = integer(1 if annualize_factor is None else annualize_factor,
                      "annualize_factor", positive=True)
-    cols = [[Fraction(v) for v in data[:, j]] for j in range(ncol)]
-    mean_fr = [sum(col) / nrows for col in cols]
-    dev = [[v - m for v in col] for col, m in zip(cols, mean_fr)]
-    mean = np.array([float(m * factor) for m in mean_fr])
+    # column j as integers X_ij over 2^e_j, the column's largest denominator
+    scaled, exps = [], []
+    for col in data.T.tolist():
+        ratios = [v.as_integer_ratio() for v in col]
+        e = max(d for _, d in ratios).bit_length() - 1
+        scaled.append([x << (e + 1 - d.bit_length()) for x, d in ratios])
+        exps.append(e)
+    sums = [sum(col) for col in scaled]
+    dev = [[nrows * x - s for x in col] for col, s in zip(scaled, sums)]
+    scale = nrows * nrows * (nrows - 1)
+    mean = np.empty(ncol)
     cov = np.empty((ncol, ncol))
     for j in range(ncol):
+        mean[j] = _rounded(sums[j] * factor, nrows << exps[j], "mean", labels[j])
+    for j in range(ncol):
         for k in range(j, ncol):
-            c = sum(a * b for a, b in zip(dev[j], dev[k])) / (nrows - 1)
-            cov[j, k] = cov[k, j] = float(c * factor)
+            c = _rounded(sum(map(operator.mul, dev[j], dev[k])) * factor,
+                         scale << (exps[j] + exps[k]), "covariance", labels[j], labels[k])
+            cov[j, k] = cov[k, j] = c
     return mean, cov
 
 

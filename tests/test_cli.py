@@ -175,8 +175,8 @@ _GRAM2 = {"type": "gram", "gram": [[2.0, 0.5], [0.5, 1.0]]}
 _SPEC = {"format_version": 1, "labels": ["a", "b"], "mean": [0.1, 0.2],
          "covariance": [[0.04, 0.0], [0.0, 0.09]]}
 
-# (flag the file is passed under, its payload, extra argv); solutions are
-# diagnosed against the two-point gram problem
+# (flag the file is passed under, its payload, extra argv); a returns payload
+# is CSV text; solutions are diagnosed against the two-point gram problem
 _MALFORMED = {
     "ragged gram": ("--input", _problem({"type": "gram", "gram": [[1.0, 0.0], [0.0]]}), []),
     "psi string": ("--input", _problem(_GRAM2, ["a", 0.0]), []),
@@ -203,6 +203,9 @@ _MALFORMED = {
                        ["--base", "a,1"]),
     "base past the end": ("--solution", {"atoms": [{"point": 0, "weight": 1.0}]},
                           ["--base", "7"]),
+    "returns covariance overflow": ("--returns", "a,b\n0.1,1e200\n0.2,-1e200\n", []),
+    "returns annualized mean overflow": ("--returns", "a\n1e307\n1e307\n",
+                                         ["--annualize", "252"]),
 }
 
 
@@ -210,11 +213,11 @@ _MALFORMED = {
 def test_malformed_input_is_exit_2(case, tmp_path, capsys):
     flag, payload, extra = _MALFORMED[case]
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if flag == "--returns" else json.dumps(payload))
     if flag == "--input":
         argv = ["solve", "--input", str(path)]
-    elif flag == "--spec":
-        argv = ["portfolio", "--spec", str(path)]
+    elif flag in ("--spec", "--returns"):
+        argv = ["portfolio", flag, str(path)]
     else:
         problem = tmp_path / "problem.json"
         problem.write_text(json.dumps(_problem(_GRAM2)))

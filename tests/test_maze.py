@@ -205,6 +205,18 @@ def test_conjugate_field_requires_analytic_kernel():
             tp.trace_path(fake)
 
 
+@pytest.mark.parametrize("bounds", [
+    (math.nan, 1.0, 0.0, 1.0), (0.0, math.inf, 0.0, 1.0), (0.0, 1.0, 0.0),
+    (0.0, 1.0, 0.0, 1.0, 2.0), (1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0, -1.0),
+    (True, 1.0, 0.0, 1.0), ("0", 1.0, 0.0, 1.0), (), "0011",
+])
+def test_field_bounds_are_checked(bounds):
+    m = tp.solve_maze(single_cell())
+    for draw in (tp.potential_field, tp.conjugate_field, tp.fields):
+        with pytest.raises(tp.InvalidInput, match="bounds"):
+            draw(m, resolution=4, bounds=bounds)
+
+
 def _at(field_fn, m, z):
     """A field's value at the single point z."""
     return float(field_fn(m, resolution=1, bounds=(z.real, z.real, z.imag, z.imag)).values[0, 0])

@@ -1,5 +1,10 @@
+import numbers
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import topiary as tp
 
@@ -62,6 +67,96 @@ def test_ingest_errors_carry_coordinates():
         tp.ingest_returns(returns("AB", [(0.1, 0.2), (0.1,)]))
     with pytest.raises(tp.NonNumericCell, match="row 1, column 2"):
         tp.ingest_returns(returns("AB", [(0.1, "x"), (0.2, 0.1), (0.0, 0.0)]))
+
+
+def test_ingest_refuses_overflowing_moments():
+    """Finite cells whose moments leave the double range are bad input that
+    names the asset, not an OverflowError."""
+    with pytest.raises(tp.InvalidInput, match="covariance of 'B' and 'B'"):
+        tp.ingest_returns(returns("AB", [(0.1, 1e200), (0.2, -1e200)]))
+    with pytest.raises(tp.InvalidInput, match="mean of 'A'"):
+        tp.ingest_returns(returns("A", [(1e307,), (1e307,)]), annualize_factor=252)
+
+
+def fraction_ingest(table, annualize_factor=None):
+    """Reference: per-element Fraction moments, each rounded once; raises
+    OverflowError where a moment leaves the double range."""
+    labels = table.labels
+    ncol = len(labels)
+    if len(table.rows) < 2:
+        raise tp.TooFewRows("too few rows")
+    data = np.empty((len(table.rows), ncol))
+    for i, row in enumerate(table.rows):
+        if len(row) != ncol:
+            raise tp.RaggedRow("ragged")
+        for j, cell in enumerate(row):
+            if isinstance(cell, numbers.Real) and not isinstance(cell, bool):
+                data[i, j] = float(cell)
+                continue
+            try:
+                data[i, j] = float(str(cell).strip())
+            except ValueError:
+                raise tp.NonNumericCell("not a number") from None
+    if not np.isfinite(data).all():
+        raise tp.NonNumericCell("not finite")
+    nrows = data.shape[0]
+    factor = 1 if annualize_factor is None else annualize_factor
+    cols = [[Fraction(v) for v in data[:, j]] for j in range(ncol)]
+    mean_fr = [sum(col) / nrows for col in cols]
+    dev = [[v - m for v in col] for col, m in zip(cols, mean_fr)]
+    mean = np.array([float(m * factor) for m in mean_fr])
+    cov = np.empty((ncol, ncol))
+    for j in range(ncol):
+        for k in range(j, ncol):
+            c = sum(a * b for a, b in zip(dev[j], dev[k])) / (nrows - 1)
+            cov[j, k] = cov[k, j] = float(c * factor)
+    return mean, cov
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),  # huge, subnormal, +-0.0
+    st.floats(-1.0, 1.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e3,
+                     0.1, -0.1, 1e200, 1e307]),
+)
+_CELLS = st.one_of(
+    _FLOATS,
+    st.integers(-10**18, 10**18),
+    st.builds(lambda x, left, right: left + repr(x) + right, _FLOATS,
+              st.sampled_from(["", " ", "\t"]), st.sampled_from(["", " ", "  "])),
+)
+
+
+@st.composite
+def returns_tables(draw):
+    ncol = draw(st.integers(1, 4))
+    nrows = draw(st.integers(2, 7))
+    rows = [draw(st.lists(_CELLS, min_size=ncol, max_size=ncol)) for _ in range(nrows)]
+    for j in range(ncol):
+        if draw(st.booleans()):  # a constant column
+            for row in rows:
+                row[j] = rows[0][j]
+    return returns("ABCD"[:ncol], rows)
+
+
+def _outcome(ingest, table, factor, refusals=tp.InvalidInput):
+    try:
+        mean, cov = ingest(table, annualize_factor=factor)
+    except refusals:
+        return "refused"
+    return mean.view(np.int64).tolist(), cov.view(np.int64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(returns_tables(), st.sampled_from([None, 1, 12, 252]))
+@example(returns("A", [(1e-300,), (1e3,), (-2.5,)]), None)
+@example(returns("AB", [(5e-324, -0.0), (0.0, 2.2250738585072014e-308), (-5e-324, 0.0)]), 12)
+@example(returns("AB", [(0.02, 3), (0.02, " 0.25\t")]), 252)
+@example(returns("AB", [(1e200, 0.1), (-1e200, 0.2)]), None)
+@example(returns("A", [(1e307,), (1e307,)]), 252)
+def test_ingest_is_bit_identical_to_fraction_reference(table, factor):
+    expect = _outcome(fraction_ingest, table, factor, (tp.InvalidInput, OverflowError))
+    assert _outcome(tp.ingest_returns, table, factor) == expect
 
 
 # -- risk belief ---------------------------------------------------------------
