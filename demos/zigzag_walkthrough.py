@@ -42,7 +42,7 @@ for step in (1, 2, 3, 10, 100, 1000):
     while state.iterations < step:
         solver.greedy_step(state)
     emb = state.measure().as_vector(kern.n) @ coords
-    gap = res.objective - state.objective()
+    gap = res.objective - state.table.objective
     print("  step %4d  embedding (%+.4f, %.4f)  gap %.2e"
           % (step, emb[0], emb[1], gap))
 print("  the first step lands on (0.8, 1.6): the bad iterate the second")

@@ -79,8 +79,9 @@ def _evaluate(result, kern, psi, K):
     """(psi spec, margin table, sorted K ids) for a result or bare measure."""
     psi = obj.as_psi(psi, kern)
     table = obj.margin_table(_resolve_measure(result), psi, kern)
-    ids = np.array(sorted(int(k) for k in (range(kern.n) if K is None else K)), dtype=int)
-    return psi, table, ids
+    if K is None:
+        return psi, table, np.arange(kern.n)
+    return psi, table, np.array(sorted(kern._id(k) for k in K), dtype=int)
 
 
 def capm_report(result, kern, psi, K=None):
@@ -130,10 +131,8 @@ def jc_report(result, kern, psi, K=None, base_points=None):
     iota = table.margins
     if base_points is None:
         base_points = ids[np.abs(iota[ids]) <= tol].tolist()
-    bases = sorted(int(b) for b in base_points)
+    bases = sorted(kern._id(b) for b in base_points)
     for b in bases:
-        if not 0 <= b < kern.n:
-            raise BaseNotInIndex("base point %d is not one of the %d points" % (b, kern.n))
         if abs(float(iota[b])) > tol:
             raise BaseNotInIndex(
                 "point %d has margin %.3g; slope rows start from index points only"
@@ -180,7 +179,7 @@ def sml_points(result, kern, psi, K=None, extras=()):
     """
     psi, table, ids = _evaluate(result, kern, psi, K)
     tol = _tol_of(result)
-    pts = np.array(sorted(set(ids.tolist()) | {int(e) for e in extras}), dtype=int)
+    pts = np.array(sorted(set(ids.tolist()) | {kern._id(e) for e in extras}), dtype=int)
     classes = np.where(
         ~np.isin(pts, ids),
         "outside-K",

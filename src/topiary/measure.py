@@ -66,12 +66,15 @@ class AtomicMeasure:
     def weight_of(self, point_id):
         return self._by_id.get(point_id, 0.0)
 
+    def ids_within(self, n):
+        """The ids, refusing an atom outside a ground set of n points."""
+        if self.ids.size and self.ids.max() >= n:
+            raise InvalidInput("atom id %d outside ground set of size %d" % (self.ids.max(), n))
+        return self.ids
+
     def as_vector(self, n):
         v = np.zeros(n)
-        for i, w in self.atoms:
-            if not 0 <= i < n:
-                raise InvalidInput("atom id %d outside ground set of size %d" % (i, n))
-            v[i] = w
+        v[self.ids_within(n)] = self.weights
         return v
 
 
@@ -111,27 +114,23 @@ def mu_eval(measure, kern, x):
 
     x is a ground id, or raw coordinates for coordinate kernels.
     """
-    if not measure.atoms:
-        return 0.0
+    ids = measure.ids_within(kern.n)
     if isinstance(x, (int, np.integer)):
-        return float(np.dot(measure.weights, kern.gram[measure.ids, kern._id(x)]))
+        return float(np.dot(measure.weights, kern.gram[ids, kern._id(x)]))
     return float(sum(w * kern.eval(i, x) for i, w in measure.atoms))
 
 
 def norm_sq(measure, kern):
     """||mu||^2 = w' G w, clamped at zero from below."""
-    if not measure.atoms:
-        return 0.0
-    ids = measure.ids
+    ids = measure.ids_within(kern.n)
     w = measure.weights
     val = float(w @ kern.gram[np.ix_(ids, ids)] @ w)
     return max(0.0, val)
 
 
 def inner(mu, nu, kern):
-    if not mu.atoms or not nu.atoms:
-        return 0.0
-    return float(mu.weights @ kern.gram[np.ix_(mu.ids, nu.ids)] @ nu.weights)
+    mu_ids, nu_ids = mu.ids_within(kern.n), nu.ids_within(kern.n)
+    return float(mu.weights @ kern.gram[np.ix_(mu_ids, nu_ids)] @ nu.weights)
 
 
 def embedded_distance(mu, nu, kern):
@@ -141,7 +140,7 @@ def embedded_distance(mu, nu, kern):
     ||mu||^2 - 2<mu,nu> + ||nu||^2; the latter cancels catastrophically
     for nearby measures and cannot resolve distances below sqrt(eps).
     """
-    ids = np.union1d(mu.ids, nu.ids)
+    ids = np.union1d(mu.ids_within(kern.n), nu.ids_within(kern.n))
     if not ids.size:
         return 0.0
     dw = np.zeros(ids.size)

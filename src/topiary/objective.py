@@ -2,14 +2,15 @@
 
 `margin_table` is the one evaluation of a measure mu with ids and weights w.
 One product G[:, ids] @ w gives mu(x) over the ground set; with
-lin = integral(psi d mu) and ||mu||^2 = w' G[ids, ids] w it yields the
-objective O(mu) = lin - ||mu||^2 / 2 (maximized over probability measures),
-the rate r = lin - ||mu||^2, the margin iota(x) = psi(x) - mu(x) - r (the
-directional derivative of O toward delta_x), the score max iota with its
-argmax, and the CAPM beta and alpha. A converged solution has margin zero on
-its support and nonpositive everywhere else. The per-point functions here
-are views of the table, and the diagnostics read their columns from it, so
-the CAPM alpha and the optimality certificate come from one mu vector.
+lin = integral(psi d mu) and ||mu||^2 = w' G[ids, ids] w, `MarginTable.tabulate`
+yields the objective O(mu) = lin - ||mu||^2 / 2 (maximized over probability
+measures), the rate r = lin - ||mu||^2, the margin iota(x) = psi(x) - mu(x) - r
+(the directional derivative of O toward delta_x), the score max iota (the
+Frank-Wolfe duality gap) with its argmax, and the CAPM beta and alpha. A
+converged solution has margin zero on its support and nonpositive everywhere
+else. The per-point functions, the diagnostics and the solver state all read
+tables built by `tabulate`, so the CAPM alpha and the optimality certificate
+come from one mu vector.
 """
 
 from dataclasses import dataclass
@@ -88,6 +89,37 @@ class MarginTable:
     mu: np.ndarray  # embedded values mu(x) over the ground set
     lin: float  # integral(psi d mu)
 
+    @classmethod
+    def tabulate(cls, psi_values, mu, lin, nsq, cand, G):
+        """The table of a measure from its Gram product (mu over the ground
+        set, lin, nsq = ||mu||^2); score and argmax range over the ids cand,
+        ties broken as `score` documents."""
+        rate = lin - nsq
+        iota = psi_values - mu - rate
+        vals = iota[cand]
+        best = float(vals.max())
+        tied = cand[vals == best]
+        if tied.size > 1 and best > 0.0:
+            d2 = G[tied, tied] - 2.0 * mu[tied] + nsq
+            gains = np.where(d2 > ZERO_TOL, best * best / (2.0 * np.maximum(d2, ZERO_TOL)), np.inf)
+            tied = tied[gains == gains.max()]
+        return cls(
+            margins=iota,
+            rate=rate,
+            score=best,
+            objective=lin - nsq / 2.0,
+            norm_sq=nsq,
+            argmax=int(tied[0]),
+            mu=mu,
+            lin=lin,
+        )
+
+    def certifies(self, support, tol):
+        """Score at most tol and every margin on the ids support at least
+        -tol; the score bound alone would let a light atom hide a large
+        negative margin, since the weighted support margins sum to zero."""
+        return self.score <= tol and float(np.min(self.margins[support], initial=np.inf)) >= -tol
+
     def betas(self):
         """mu(x) / ||mu||^2, the regression coefficient of each point on mu."""
         if self.norm_sq <= ZERO_TOL:
@@ -101,20 +133,6 @@ class MarginTable:
         return psi_values - self.rate - self.betas() * (self.lin - self.rate)
 
 
-def _argmax(iota, cand, G, mu, nsq):
-    """(max margin over the ids cand, argmax id), ties broken as `score`
-    documents. Step gains rank only at a positive max margin: at or below
-    zero no step is taken, and the lowest tied id wins."""
-    vals = iota[cand]
-    best = float(vals.max())
-    tied = cand[vals == best]
-    if tied.size > 1 and best > 0.0:
-        d2 = G[tied, tied] - 2.0 * mu[tied] + nsq
-        gains = np.where(d2 > ZERO_TOL, best * best / (2.0 * np.maximum(d2, ZERO_TOL)), np.inf)
-        tied = tied[gains == gains.max()]
-    return best, int(tied[0])
-
-
 def margin_table(measure, psi, kern, candidates=None):
     """Evaluate measure once; score and argmax range over candidates
     (default: the whole ground set)."""
@@ -126,27 +144,11 @@ def margin_table(measure, psi, kern, candidates=None):
         if cand.size == 0:
             raise InvalidInput("score needs a non-empty candidate set")
     G = kern.gram
-    ids, w = measure.ids, measure.weights
-    if ids.size and int(ids.max()) >= kern.n:
-        raise InvalidInput(
-            "atom id %d outside ground set of size %d" % (int(ids.max()), kern.n)
-        )
+    ids, w = measure.ids_within(kern.n), measure.weights
     mu = G[:, ids] @ w
     lin = float(np.dot(w, psi.values[ids]))
     nsq = max(0.0, float(w @ G[np.ix_(ids, ids)] @ w))
-    rate = lin - nsq
-    iota = psi.values - mu - rate
-    best, arg = _argmax(iota, cand, G, mu, nsq)
-    return MarginTable(
-        margins=iota,
-        rate=rate,
-        score=best,
-        objective=lin - nsq / 2.0,
-        norm_sq=nsq,
-        argmax=arg,
-        mu=mu,
-        lin=lin,
-    )
+    return MarginTable.tabulate(psi.values, mu, lin, nsq, cand, G)
 
 
 def aesthetic_objective(measure, psi, kern):

@@ -137,15 +137,18 @@ def ingest_returns(table, annualize_factor=None):
         if len(row) != ncol:
             raise RaggedRow("row %d has %d cells, header has %d" % (i + 1, len(row), ncol))
         for j, cell in enumerate(row):
-            if isinstance(cell, numbers.Real) and not isinstance(cell, bool):
-                data[i, j] = float(cell)
-                continue
+            number = isinstance(cell, numbers.Real) and not isinstance(cell, bool)
             try:
-                data[i, j] = float(str(cell).strip())
+                data[i, j] = float(cell if number else str(cell).strip())
             except ValueError:
                 raise NonNumericCell(
                     "cell at row %d, column %d (%s) is not a number: %r"
                     % (i + 1, j + 1, labels[j], cell)
+                ) from None
+            except OverflowError:
+                raise NonNumericCell(
+                    "cell at row %d, column %d (%s) is beyond the double range"
+                    % (i + 1, j + 1, labels[j])
                 ) from None
     if not np.isfinite(data).all():
         bad = np.argwhere(~np.isfinite(data))[0]

@@ -241,7 +241,7 @@ def test_criterion_05():
         except InvalidInput:
             stopped = it - 1
             break
-        trace.append(slv.TraceRow(iteration=it, objective=state.objective(),
+        trace.append(slv.TraceRow(iteration=it, objective=state.table.objective,
                                   score=float("nan"), support_size=0))
         dists[it] = embedded_distance(state.measure(), star.measure, kern)
 

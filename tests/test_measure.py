@@ -198,3 +198,20 @@ def test_atom_arrays_are_built_once_and_read_only():
     assert mu.weight_of(3) == 0.25 and mu.weight_of(2) == 0.0
     same = tp.AtomicMeasure(((1, 0.75), (3, 0.25)))
     assert mu == same and hash(mu) == hash(same)
+
+
+OUTSIDE = {
+    "margin_table": lambda mu, k: tp.margin_table(mu, None, k),
+    "mu_eval": lambda mu, k: tp.mu_eval(mu, k, 0),
+    "norm_sq": tp.norm_sq,
+    "inner": lambda mu, k: tp.inner(mu, tp.delta(0), k),
+    "embedded_distance": lambda mu, k: tp.embedded_distance(tp.delta(0), mu, k),
+    "invisible_residual": lambda mu, k: tp.invisible_residual(mu, tp.delta(0), k),
+    "as_vector": lambda mu, k: mu.as_vector(k.n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTSIDE))
+def test_atom_outside_the_ground_set_is_refused(name):
+    with pytest.raises(tp.InvalidInput, match="atom id 7 outside ground set of size 3"):
+        OUTSIDE[name](tp.delta(7), tp.explicit_gram(np.eye(3)))

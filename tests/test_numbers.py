@@ -34,6 +34,13 @@ def _solved_maze():
     return tp.solve_maze(_maze())  # one obstacle cell: cheap
 
 
+def _diagnose(report, **kw):
+    """report on the uniform optimum over explicit_gram(eye(4)), psi = 0:
+    every point is in the index."""
+    kern = tp.explicit_gram(np.eye(4))
+    return report(tp.solve(kern, None), kern, None, **kw)
+
+
 # field -> call taking the value
 INT_FIELDS = {
     "Kernel._id": lambda v: tp.explicit_gram(np.eye(3))._id(v),
@@ -46,6 +53,12 @@ INT_FIELDS = {
     "potential_field.resolution": lambda v: tp.potential_field(_solved_maze(), resolution=v),
     "conjugate_field.resolution": lambda v: tp.conjugate_field(_solved_maze(), resolution=v),
 }
+DIAGNOSTIC_IDS = {
+    "capm_report K": lambda v: _diagnose(tp.capm_report, K=[v]),
+    "jc_report base_points": lambda v: _diagnose(tp.jc_report, base_points=[v]),
+    "sml_points extras": lambda v: _diagnose(tp.sml_points, extras=[v]),
+}
+INT_FIELDS.update(DIAGNOSTIC_IDS)
 REAL_FIELDS = {
     "explicit_gram entry": lambda v: tp.explicit_gram([[v, 0.0], [0.0, 1.0]]),
     "euclidean coordinate": lambda v: tp.euclidean([[v, 0.0], [0.0, 1.0]]),
@@ -78,6 +91,13 @@ def test_constructor_refuses_a_bad_number(name, value):
     call = INT_FIELDS.get(name) or REAL_FIELDS[name]
     with pytest.raises(tp.InvalidInput):
         call(value)
+
+
+@pytest.mark.parametrize("point", [-1, 4])
+@pytest.mark.parametrize("name", sorted(DIAGNOSTIC_IDS))
+def test_diagnostics_refuse_an_id_outside_the_ground_set(name, point):
+    with pytest.raises(tp.InvalidInput, match="outside ground set of size 4"):
+        DIAGNOSTIC_IDS[name](point)
 
 
 def test_every_field_accepts_a_good_number():

@@ -67,7 +67,8 @@ def test_score_tie_rule_shared_with_solver():
     mu = tp.delta(1)
     assert tp.score(mu, psi, k) == (0.0, 0)
     assert tp.margin_table(mu, psi, k).argmax == 0
-    assert tp.SolverState(k, psi, start=mu).score_argmax() == (0.0, 0)
+    table = tp.SolverState(k, psi, start=mu).table
+    assert (table.score, table.argmax) == (0.0, 0)
     # a positive tied margin ranks the zero-length direction first
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", tp.DuplicatePointsWarning)

@@ -269,9 +269,9 @@ def test_exchange_add_requires_positive_margin(zigzag, zigzag_psi):
 
 def test_failed_exchange_leaves_state_consistent(zigzag, zigzag_psi, monkeypatch):
     """A NotPrunable on a later inner exchange step falls back to a greedy
-    step on the state as it was, so w and its caches still agree."""
+    step on the state as it was, so w and its table still agree."""
     st = tp.SolverState(zigzag, zigzag_psi, start=tp.delta(1))
-    s, x = st.score_argmax()
+    s, x = st.table.score, st.table.argmax
     slv._step_exchange(st, s, x)
     assert st.w == pytest.approx([0.0, 0.6, 0.4], abs=1e-14)
 
@@ -285,19 +285,20 @@ def test_failed_exchange_leaves_state_consistent(zigzag, zigzag_psi, monkeypatch
         return real(*args, **kwargs)
 
     monkeypatch.setattr(slv, "_augmented_solve", fails_second)
-    s, x = st.score_argmax()
+    s, x = st.table.score, st.table.argmax
     assert x == 0
     slv._step_exchange(st, s, x)
     assert len(calls) == 2
     G, w = zigzag.gram, st.w
-    assert np.max(np.abs(st.m - G @ w)) <= 1e-12
-    assert abs(st.lin - float(zigzag_psi.values @ w)) <= 1e-12
-    assert abs(st.nsq - float(w @ G @ w)) <= 1e-12
+    assert np.max(np.abs(st.table.mu - G @ w)) <= 1e-12
+    assert abs(st.table.lin - float(zigzag_psi.values @ w)) <= 1e-12
+    assert abs(st.table.norm_sq - float(w @ G @ w)) <= 1e-12
 
 
 def test_exchange_steps_keep_caches_exact():
-    """Every exchange step leaves m, lin and nsq equal to G w, psi . w and
-    w' G w up to round-off, and the steps alone reach the certificate."""
+    """Every exchange step leaves the table's mu, lin and norm_sq equal to
+    G w, psi . w and w' G w up to round-off, and the steps alone reach the
+    certificate."""
     kern, psi = random_instance(np.random.default_rng(61), 200)
     G = kern.gram
     tol = 1e-12 * float(np.max(np.abs(G)))
@@ -305,21 +306,21 @@ def test_exchange_steps_keep_caches_exact():
     steps = 0
     while not st.converged():
         assert steps < 400
-        s, x = st.score_argmax()
+        s, x = st.table.score, st.table.argmax
         slv._step_exchange(st, s, x)
         steps += 1
         w = st.w
-        assert np.max(np.abs(st.m - G @ w)) <= tol
-        assert abs(st.lin - float(psi.values @ w)) <= tol
-        assert abs(st.nsq - float(w @ G @ w)) <= tol
+        assert np.max(np.abs(st.table.mu - G @ w)) <= tol
+        assert abs(st.table.lin - float(psi.values @ w)) <= tol
+        assert abs(st.table.norm_sq - float(w @ G @ w)) <= tol
     assert steps > 10
     r = slv._finish(st, "exchange")
     assert r.score <= r.margin_tol and set(r.support()) <= set(r.index)
 
 
 def test_rejected_polish_leaves_state_bit_identical(monkeypatch):
-    """A hedge snap that fails the certificate puts back the very w, m, lin
-    and nsq it found."""
+    """A hedge snap that fails the certificate puts back the very w and
+    table mu, lin and norm_sq it found."""
     kern, psi = random_instance(np.random.default_rng(62), 30)
     st = tp.SolverState(kern, psi)
     for _ in range(4):
@@ -332,11 +333,31 @@ def test_rejected_polish_leaves_state_bit_identical(monkeypatch):
         return checked[-1]
 
     monkeypatch.setattr(tp.SolverState, "converged", spy)
-    w, m, lin, nsq = st.w.copy(), st.m.copy(), st.lin, st.nsq
+    w, m, lin, nsq = st.w.copy(), st.table.mu.copy(), st.table.lin, st.table.norm_sq
     assert not slv._try_polish(st)
     assert checked == [False]  # the snapped weights reached the certificate
-    assert st.w.tobytes() == w.tobytes() and st.m.tobytes() == m.tobytes()
-    assert (st.lin, st.nsq) == (lin, nsq)
+    assert st.w.tobytes() == w.tobytes() and st.table.mu.tobytes() == m.tobytes()
+    assert (st.table.lin, st.table.norm_sq) == (lin, nsq)
+
+
+def test_each_greedy_step_evaluates_its_iterate_once(monkeypatch):
+    """The solve loop reads score, argmax, certificate and objective off the
+    one table a step builds: N steps cost N tables, plus the start, the
+    drift check every 256 steps and the finish."""
+    kern, psi = random_instance(np.random.default_rng(63), 60)
+    real = tp.MarginTable.tabulate.__func__
+    built = []
+
+    def counted(cls, *args):
+        built.append(1)
+        return real(cls, *args)
+
+    monkeypatch.setattr(tp.MarginTable, "tabulate", classmethod(counted))
+    steps = 300
+    with pytest.raises(tp.MaxIterExceeded) as exc:
+        tp.solve(kern, psi, tp.SolveConfig(algorithm="greedy", max_iter=steps))
+    assert exc.value.result.iterations == steps
+    assert steps <= len(built) <= steps + 4
 
 
 def test_solve_exchange_zigzag(zigzag, zigzag_psi):
