@@ -57,7 +57,9 @@ ORACLE_CAP = 12
 DECONSTRUCT_CAP = 16
 
 # relative pivot threshold below which an augmented system is declared
-# singular; never regularized silently
+# singular, against max(1, max|M|) for an LU pivot and against sigma for a
+# squared pivot of the support factor (`SolverState.shifted_hedge`), which
+# then defers to the LU; never regularized silently
 SINGULARITY_RTOL = 1e-10
 
 # dust: a finished measure, an exchange step and the polish drop atoms this light
@@ -178,6 +180,14 @@ class SolverState:
     against a full recomputation every 256 steps; exchange, polish and prune
     from a full recomputation (`_refresh_caches`). The certificate
     (`converged`) and the monotonicity check read the table.
+
+    For exchange the state also keeps one lower Cholesky factor of
+    H = G_S + sigma 11' over the ids it covers, in the order they joined,
+    with sigma = max(1, max diag G). `shifted_hedge` borders it with the
+    atoms that joined since the last call, an O(s^2) triangular solve each,
+    and refactors it from G[S, S] when an atom it covers has left the
+    support or after _DRIFT_EVERY appended atoms. The factor depends on its
+    ids alone, so a snapshot need not hold it.
     """
 
     def __init__(self, kern, psi, config=None, start=None, candidates=None):
@@ -208,6 +218,10 @@ class SolverState:
         self.iterations = 0
         self.trace = [] if self.config.trace else None
         self._since_check = 0
+        self._sigma = max(1.0, float(np.max(np.diag(self.G))))
+        self._factor_ids = np.zeros(0, dtype=int)
+        self._factor = np.zeros((0, 0), order="F")
+        self._appends = 0
 
     def _to_candidate(self, point_id):
         if point_id in self.candidates:
@@ -250,6 +264,69 @@ class SolverState:
         )
         if drift > _DRIFT_TOL:
             log.warning("incremental caches drifted by %g; recomputed", drift)
+
+    def shifted_hedge(self, S, x):
+        """(v, c) solving [[G_S, 1], [1', 0]] [v; c] = [G[S, x]; 1] on the
+        sorted ids S.
+
+        Through the factor: with a = H^-1 G[S, x] and e = H^-1 1 from one
+        `cho_solve`, v = a - beta e and c = beta + sigma, where
+        beta = (1'a - 1) / 1'e. For PSD G_S, H is positive definite exactly
+        when the bordered system is nonsingular. When the Cholesky fails or
+        a squared pivot is at most SINGULARITY_RTOL * sigma, the answer (or
+        NotPrunable) comes from `_augmented_solve` on G[S, S] instead.
+        """
+        order = self._cover(S)
+        if order is None:
+            return _augmented_solve(self.G[np.ix_(S, S)], self.G[S, x])
+        F = self._factor_ids
+        rhs = np.column_stack([self.G[x, F], np.ones(F.size)])
+        a, e = scipy.linalg.cho_solve((self._factor, True), rhs, check_finite=False).T
+        beta = (float(a.sum()) - 1.0) / float(e.sum())
+        return (a - beta * e)[order], beta + self._sigma
+
+    def _cover(self, S):
+        """Make the factor cover exactly S; the permutation that takes its
+        ids to S, or None when the factor cannot vouch for S."""
+        F = self._factor_ids
+        outside = np.ones(self.w.size, dtype=bool)
+        outside[S] = False
+        if F.size == 0 or self._appends >= _DRIFT_EVERY or outside[F].any():
+            F = self._factor_ids = F[:0]
+            self._factor = self._factor[:0, :0]
+            self._appends = 0
+        outside[F] = True
+        new = S[~outside[S]]
+        if new.size:
+            L = self._border(new)
+            if L is None:
+                return None
+            if F.size:
+                self._appends += new.size
+            self._factor_ids, self._factor = np.concatenate([F, new]), L
+        return np.argsort(self._factor_ids)
+
+    def _border(self, new):
+        """The factor of H over the factor's ids then new; None when H over
+        them is not safely positive definite."""
+        F, L, sigma = self._factor_ids, self._factor, self._sigma
+        k = F.size
+        B = np.zeros((k, new.size))
+        if k:
+            B = scipy.linalg.solve_triangular(
+                L, self.G[np.ix_(F, new)] + sigma, lower=True, check_finite=False
+            )
+        try:
+            D = np.linalg.cholesky(self.G[np.ix_(new, new)] + sigma - B.T @ B)
+        except np.linalg.LinAlgError:
+            return None
+        if float(np.min(np.diag(D))) ** 2 <= SINGULARITY_RTOL * sigma:
+            return None
+        out = np.zeros((k + new.size, k + new.size), order="F")
+        out[:k, :k] = L
+        out[k:, :k] = B.T
+        out[k:, k:] = D
+        return out
 
     def support(self):
         return np.flatnonzero(self.w)
@@ -480,11 +557,13 @@ def _exchange_core(state, x):
 
     Each inner step reads mu(x), the margin at x and the objective off the
     state's table, solves the shifted hedge system on the support S without
-    x (the G[S, S] block it gathers for the LU is its only Gram product over
-    the support), walks w along delta_x - nu and recomputes the table. Returns
-    (dropped ids, inner iteration count, final margin). The ko rule is
-    structural: only x ever gains weight, so an atom dropped here cannot
-    re-enter within the call.
+    x through the state's support factor (`SolverState.shifted_hedge`; its
+    only Gram reads are G[S, x] and the rows of atoms that joined S, unless
+    it refactors or defers to the LU), walks w along delta_x - nu and
+    recomputes the table. v' G_S v is nu(x) - c, so no product over G[S, S]
+    is formed. Returns (dropped ids, inner iteration count, final margin).
+    The ko rule is structural: only x ever gains weight, so an atom dropped
+    here cannot re-enter within the call.
     """
     G, psi_values, cfg = state.G, state.psi_values, state.config
     w = state.w
@@ -507,11 +586,10 @@ def _exchange_core(state, x):
             # support is already {x}; its own margin is zero by definition,
             # so iota0 > margin_tol cannot hold unless the table lies
             raise NoProgress("margin positive at the only support atom %d" % x)
-        G_S = G[np.ix_(S, S)]
-        v, _ = _augmented_solve(G_S, G[S, x])
+        v, c = state.shifted_hedge(S, x)
 
         nu_x = float(v @ G[S, x])
-        vGv = float(v @ G_S @ v)
+        vGv = nu_x - c  # G_S v = G[S, x] - c 1 and 1'v = 1
         quad = float(G[x, x]) - 2.0 * nu_x + vGv  # ||delta_x - nu||^2
         mu_d = mu_x - float(v @ tab.mu[S])
         slope = float(psi_values[x]) - float(v @ psi_values[S]) - mu_d  # dO/dt at 0

@@ -275,16 +275,16 @@ def test_failed_exchange_leaves_state_consistent(zigzag, zigzag_psi, monkeypatch
     slv._step_exchange(st, s, x)
     assert st.w == pytest.approx([0.0, 0.6, 0.4], abs=1e-14)
 
-    real = slv._augmented_solve
+    real = tp.SolverState.shifted_hedge
     calls = []
 
-    def fails_second(*args, **kwargs):
+    def fails_second(self, *args, **kwargs):
         calls.append(1)
         if len(calls) == 2:
             raise tp.NotPrunable("forced on the second inner step")
-        return real(*args, **kwargs)
+        return real(self, *args, **kwargs)
 
-    monkeypatch.setattr(slv, "_augmented_solve", fails_second)
+    monkeypatch.setattr(tp.SolverState, "shifted_hedge", fails_second)
     s, x = st.table.score, st.table.argmax
     assert x == 0
     slv._step_exchange(st, s, x)
@@ -295,11 +295,19 @@ def test_failed_exchange_leaves_state_consistent(zigzag, zigzag_psi, monkeypatch
     assert abs(st.table.norm_sq - float(w @ G @ w)) <= 1e-12
 
 
-def test_exchange_steps_keep_caches_exact():
+def _euclid_r8(rng, n):
+    """Gaussian points in R^8: supports of 9 atoms have a singular G_S."""
+    points = rng.standard_normal((n, 8))
+    return tp.euclidean(points), tp.PsiSpec.table(rng.uniform(-1.0, 1.0, n))
+
+
+@pytest.mark.parametrize("instance", ["wishart", "euclid-r8"])
+def test_exchange_steps_keep_caches_exact(instance):
     """Every exchange step leaves the table's mu, lin and norm_sq equal to
     G w, psi . w and w' G w up to round-off, and the steps alone reach the
-    certificate."""
-    kern, psi = random_instance(np.random.default_rng(61), 200)
+    certificate, which numpy confirms from G and psi alone."""
+    make = random_instance if instance == "wishart" else _euclid_r8
+    kern, psi = make(np.random.default_rng(61), 200)
     G = kern.gram
     tol = 1e-12 * float(np.max(np.abs(G)))
     st = tp.SolverState(kern, psi)
@@ -316,6 +324,81 @@ def test_exchange_steps_keep_caches_exact():
     assert steps > 10
     r = slv._finish(st, "exchange")
     assert r.score <= r.margin_tol and set(r.support()) <= set(r.index)
+    ids = np.array([i for i, _ in r.measure.atoms])
+    wts = np.array([v for _, v in r.measure.atoms])
+    mu = G[:, ids] @ wts
+    rate = float(psi.values[ids] @ wts) - float(wts @ mu[ids])
+    iota = psi.values - mu - rate
+    assert iota.max() <= r.margin_tol and iota[ids].min() >= -r.margin_tol
+
+
+# (support S, factor ids afterwards): the first call factors, appends keep
+# the join order, the third appended atom finds _DRIFT_EVERY = 2 appends
+# behind it and refactors in sorted order, and dropping atom 2 from the
+# middle refactors. The fourth and sixth supports hold 4 atoms, so G_S is
+# singular in R^3; the refactor reaches one and an append the other.
+FACTOR_WALK = [
+    ([2], [2]),
+    ([2, 4], [2, 4]),
+    ([1, 2, 4], [2, 4, 1]),
+    ([1, 2, 3, 4], [1, 2, 3, 4]),
+    ([1, 3, 4], [1, 3, 4]),
+    ([0, 1, 3, 4], [1, 3, 4, 0]),
+]
+
+
+@pytest.mark.parametrize("instance", ["wishart", "euclid-r3"])
+def test_support_factor_agrees_with_the_augmented_solve(instance, monkeypatch):
+    """Along appends, a drift refactor and a middle drop, the factor solves
+    the bordered system as the LU does, without deferring to it."""
+    rng = np.random.default_rng(64)
+    if instance == "wishart":
+        kern, psi = random_instance(rng, 8)
+    else:
+        kern = tp.euclidean(rng.standard_normal((8, 3)))
+        psi = tp.PsiSpec.zero(kern)
+    G, x = kern.gram, 6
+    tol = 1e-12 * float(np.max(np.abs(G)))
+    monkeypatch.setattr(slv, "_DRIFT_EVERY", 2)
+    real = slv._augmented_solve
+    deferred = []
+    monkeypatch.setattr(slv, "_augmented_solve", lambda *a: deferred.append(a) or real(*a))
+    st = tp.SolverState(kern, psi)
+    for S, ids in FACTOR_WALK:
+        S = np.array(S)
+        v, c = st.shifted_hedge(S, x)
+        v0, c0 = real(G[np.ix_(S, S)], G[S, x])
+        assert np.max(np.abs(v - v0)) <= tol and abs(c - c0) <= tol
+        assert st._factor_ids.tolist() == ids
+        L = st._factor
+        assert np.max(np.abs(L @ L.T - G[np.ix_(ids, ids)] - st._sigma)) <= tol
+    assert deferred == []
+    if instance == "euclid-r3":
+        assert np.linalg.matrix_rank(G[np.ix_(S, S)]) == 3
+
+
+def test_near_duplicates_defer_to_the_lu_and_fall_back_to_greedy(monkeypatch):
+    """Two points 1e-7 apart make the bordered system singular: the factor
+    defers to `_augmented_solve`, whose NotPrunable sends the exchange step
+    to the greedy step it would take from the same state."""
+    kern = tp.euclidean([(1.0, 0.0), (1.0, 1e-7), (0.0, 2.0)])
+    psi = tp.PsiSpec.table([0.0, 0.0, 3.0])
+    start = tp.probability([0, 1], [0.5, 0.5])
+    real = slv._augmented_solve
+    deferred = []
+    monkeypatch.setattr(slv, "_augmented_solve", lambda *a: deferred.append(a) or real(*a))
+    st = tp.SolverState(kern, psi, start=start)
+    with pytest.raises(tp.NotPrunable):
+        st.shifted_hedge(np.array([0, 1]), 2)
+    assert len(deferred) == 1
+
+    twin = tp.SolverState(kern, psi, start=start)
+    tp.greedy_step(twin)
+    s, x = st.table.score, st.table.argmax
+    assert x == 2
+    slv._step_exchange(st, s, x)
+    assert len(deferred) == 2
+    assert st.w.tobytes() == twin.w.tobytes() and st.table.mu.tobytes() == twin.table.mu.tobytes()
 
 
 def test_rejected_polish_leaves_state_bit_identical(monkeypatch):
