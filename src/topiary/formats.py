@@ -483,13 +483,22 @@ def _read_pbm(path, text):
     return np.array(bits, dtype=bool).reshape(height, width)
 
 
+_PGM_WORDS = np.array([str(v) for v in range(256)])
+
+
 def pgm_text(raster):
-    """P2 PGM, maxval 255, top raster row first, lines kept within 70 chars."""
+    """P2 PGM, maxval 255, top raster row first, lines kept within 70 chars.
+    The raster must hold integers in 0..255."""
     raster = np.asarray(raster)
     if raster.ndim != 2:
         raise InvalidInput("PGM raster must be 2-D")
+    if raster.dtype.kind not in "ui":
+        raise InvalidInput("PGM raster must hold integers, got %s" % raster.dtype)
+    if raster.size and not (0 <= raster.min() and raster.max() <= 255):
+        raise InvalidInput("PGM raster values must lie in 0..255, got %d..%d"
+                           % (raster.min(), raster.max()))
     height, width = raster.shape
-    flat = [str(int(v)) for v in raster.reshape(-1)]
+    flat = _PGM_WORDS[raster.ravel()].tolist()
     lines = ["P2", "%d %d" % (width, height), "255"]
     for start in range(0, len(flat), 17):
         lines.append(" ".join(flat[start:start + 17]))

@@ -20,6 +20,7 @@ import numpy as np
 from . import measure as msr
 from . import objective as obj
 from .errors import (
+    DomainError,
     EmptyMask,
     InvalidInput,
     KernelNotAnalytic,
@@ -206,7 +207,17 @@ def _terms(mres):
 def _sample(mres, resolution, bounds):
     """Grid axes (top row first) and G over the grid, ys-major. bounds is
     (x0, x1, y0, y1) with x0 <= x1 and y0 <= y1; a zero-width side samples a
-    line or, at resolution 1, one point."""
+    line or, at resolution 1, one point.
+
+    On a product grid each term factors, e^{(x + iy) s q} = e^{i y s q} e^{x s q}
+    (s = mres.scale), because the exponent is linear in z. So G is one matrix
+    product, G[row, col] = sum_j (c_j e^{i ys[row] s q_j}) e^{xs[col] s q_j}:
+    2 * resolution * m exponentials and no array larger than the output. Term
+    j's factors are rescaled by e^{+t_j} and e^{-t_j} so that their largest
+    moduli on the grid are equal; neither overflows unless the term itself
+    does somewhere on the grid. A grid on which G is not finite raises
+    DomainError.
+    """
     c, q = _terms(mres)
     resolution = integer(resolution, "resolution", positive=True)
     if bounds is None:
@@ -219,9 +230,18 @@ def _sample(mres, resolution, bounds):
     x0, x1, y0, y1 = box.tolist()
     xs = np.linspace(x0, x1, resolution)
     ys = np.linspace(y1, y0, resolution)
-    zx, zy = np.meshgrid(xs, ys)
-    zs = (zx + 1j * zy) * mres.scale
-    return xs, ys, np.exp(np.multiply.outer(zs, q)) @ c
+    sx, sy = xs * mres.scale, ys * mres.scale
+    # log of the largest modulus of each term's x factor and y factor
+    top_x = np.maximum(sx[0] * q.real, sx[-1] * q.real)
+    top_y = np.maximum(-sy[0] * q.imag, -sy[-1] * q.imag)
+    t = (top_x - top_y) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = np.exp(np.multiply.outer(1j * sy, q) + t) * c
+        g = rows @ np.exp(np.multiply.outer(sx, q) - t).T
+    if not np.isfinite(g).all():
+        raise DomainError("G overflows on the grid of bounds %r; draw a smaller box"
+                          % ((x0, x1, y0, y1),))
+    return xs, ys, g
 
 
 def _to_raster(values):
@@ -253,7 +273,8 @@ def conjugate_field(mres, resolution=256, bounds=None):
 
 
 def fields(mres, resolution=256, bounds=None):
-    """(potential_field, conjugate_field) from one sample of G over the grid."""
+    """(potential_field, conjugate_field) from one sample of G over the grid;
+    DomainError when G is not finite on it."""
     xs, ys, g = _sample(mres, resolution, bounds)
     return tuple(Field(xs=xs, ys=ys, values=v, raster=_to_raster(v))
                  for v in (g.real - mres.result.rate, np.abs(g.imag)))

@@ -145,7 +145,7 @@ def margin_table(measure, psi, kern, candidates=None):
             raise InvalidInput("score needs a non-empty candidate set")
     G = kern.gram
     ids, w = measure.ids_within(kern.n), measure.weights
-    mu = G[:, ids] @ w
+    mu = w @ G[ids]  # rows: G is exactly symmetric
     lin = float(np.dot(w, psi.values[ids]))
     nsq = max(0.0, float(w @ G[np.ix_(ids, ids)] @ w))
     return MarginTable.tabulate(psi.values, mu, lin, nsq, cand, G)

@@ -241,7 +241,7 @@ class SolverState:
 
     def _refresh_caches(self):
         sup = np.flatnonzero(self.w)
-        mu = self.G[:, sup] @ self.w[sup]
+        mu = self.w[sup] @ self.G[sup]  # rows: G is exactly symmetric
         self._tabulate(mu, float(self.psi_values[sup] @ self.w[sup]), float(self.w[sup] @ mu[sup]))
 
     def _snapshot(self):
@@ -774,7 +774,7 @@ def _drive(algorithm, kern, psi, config, candidates):
             )
         if algorithm == "exchange":
             # greedy ascent cannot come back to a state; an exchange can
-            key = (frozenset(int(i) for i in state.support()), _round_sig(state.table.objective))
+            key = (frozenset(state.support().tolist()), _round_sig(state.table.objective))
             if key in seen:
                 raise CycleDetected(
                     "exchange revisited a support/objective pair",
@@ -785,7 +785,7 @@ def _drive(algorithm, kern, psi, config, candidates):
         if s <= polish_below:
             # the snap outcome depends only on the support set, so retrying on
             # an unchanged support would just repeat the same rejection
-            key = frozenset(int(i) for i in state.support())
+            key = frozenset(state.support().tolist())
             if key != polished:
                 polished = key
                 if _try_polish(state):

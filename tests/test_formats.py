@@ -204,6 +204,15 @@ def test_pgm_format_rules(tmp_path):
     p = tmp_path / "f.pgm"
     fm.write_pgm(str(p), raster)
     assert p.read_text() == text
+    # every word of the table, on any integer dtype
+    assert fm.pgm_text(np.arange(256, dtype=np.int64).reshape(16, 16)).split()[4:] == [
+        str(v) for v in range(256)]
+    for bad in ([[0, -1]], [[0, 300]], [[0.0, 2.5]], [[0.0, 2.0]], [[True, False]]):
+        with pytest.raises(tp.InvalidInput):
+            fm.pgm_text(np.array(bad))
+        with pytest.raises(tp.InvalidInput):
+            fm.write_pgm(str(tmp_path / "bad.pgm"), np.array(bad))
+    assert not (tmp_path / "bad.pgm").exists()
 
 
 def test_read_mask_text_and_pbm_agree(tmp_path):

@@ -217,6 +217,75 @@ def test_field_bounds_are_checked(bounds):
             draw(m, resolution=4, bounds=bounds)
 
 
+def _direct_sum(m, f):
+    """G over f's grid, one exponential per grid point and term, and the
+    largest sum of the terms' moduli, the scale of G's round-off."""
+    from topiary import maze
+
+    c, q = maze._terms(m)
+    zs = (f.xs[None, :] + 1j * f.ys[:, None]) * m.scale
+    terms = np.exp(np.multiply.outer(zs, q))
+    return terms @ c, float((np.abs(terms) @ np.abs(c)).max())
+
+
+def _assert_fields_match_direct_sum(m, resolution, bounds):
+    potential, conjugate = tp.fields(m, resolution=resolution, bounds=bounds)
+    g, scale = _direct_sum(m, potential)
+    tol = 1e-12 * scale
+    assert np.abs(potential.values - (g.real - m.result.rate)).max() <= tol
+    assert np.abs(conjugate.values - np.abs(g.imag)).max() <= tol
+
+
+@pytest.mark.parametrize("target", [None, 0.3 + 0.2j])
+def test_separable_sample_equals_direct_sum(target):
+    m = tp.solve_maze(tp.MazeSpec(mask=ring_gap(), cell_size=0.05, target=target))
+    rng = np.random.default_rng(93)
+    boxes = [tuple(np.sort(rng.uniform(-3.0, 3.0, 2))) + tuple(np.sort(rng.uniform(-3.0, 3.0, 2)))
+             for _ in range(5)]
+    boxes += [(-1.0, 2.0, 0.4, 0.4), (0.7, 0.7, -2.0, 1.0), (-0.3, -0.3, 0.2, 0.2)]
+    for bounds in boxes:
+        for resolution in (1, 2, 37):
+            _assert_fields_match_direct_sum(m, resolution, bounds)
+
+
+def test_separable_sample_far_from_the_origin():
+    """On this box each term's x and y factors reach e^{+-800} while the term
+    itself stays near modulus 1: the factors are balanced, not overflowed."""
+    m = tp.solve_maze(single_cell(offset=1 + 1j))
+    assert m.scale == 1.0
+    _assert_fields_match_direct_sum(m, 9, (800.0, 801.0, -801.0, -800.0))
+
+
+def test_fields_refuse_a_grid_where_g_overflows():
+    """|G| reaches about e^1000 on this box: refused with the bounds named,
+    where it once came back as NaN with an all-zero raster."""
+    spec = tp.MazeSpec(mask=np.ones((2, 1), dtype=bool), cell_size=1.0, origin_offset=3j)
+    m = tp.solve_maze(spec)
+    assert m.trichotomy == "solved"
+    for draw in (tp.potential_field, tp.conjugate_field, tp.fields):
+        with pytest.raises(tp.DomainError, match=r"\(-400.0, 400.0, -400.0, 400.0\)") as info:
+            draw(m, resolution=8, bounds=(-400, 400, -400, 400))
+        assert tp.exit_code_for(info.value) == 3
+
+
+def test_fields_memory_is_bounded_by_the_output():
+    """No resolution^2 x terms temporary: the peak stays within four times
+    the complex output."""
+    import tracemalloc
+
+    from topiary import maze
+
+    m = tp.solve_maze(tp.MazeSpec(mask=ring_gap(), cell_size=0.05))
+    assert len(maze._terms(m)[0]) >= 15
+    tracemalloc.start()
+    try:
+        tp.fields(m, resolution=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 512 * 512 * 16
+
+
 def _at(field_fn, m, z):
     """A field's value at the single point z."""
     return float(field_fn(m, resolution=1, bounds=(z.real, z.real, z.imag, z.imag)).values[0, 0])
