@@ -112,7 +112,9 @@ class DegenerateDirection(NumericalError):
 
 
 class NoProgress(NumericalError):
-    """Exchange step size collapsed to zero before the margin closed."""
+    """A solve found no way forward: the exchange did not land within its
+    cycle budget, greedy had no ascent left, or the oracle no feasible
+    support."""
 
 
 class AccessibilityFailure(NumericalError):

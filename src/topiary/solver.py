@@ -10,10 +10,11 @@ Three iterative solvers plus ground-truth utilities:
   small instances such as the zig-zag, but not at scale: on 1000 Gaussian
   points in R^8 it is still at score 1.6e-5 when it hits the default
   max_iter, where exchange certifies in 21 iterations.
-* exchange: active-set method. Repeatedly brings in the point of maximal
-  margin, walking the ray mu + t (delta_x - nu) where nu is the shifted
-  hedge of the current support; support margins stay equal along the ray
-  and return to zero at the landing point. Exact in a handful of steps.
+* exchange: Wolfe's minimum-norm-point method. A major cycle brings in the
+  point of maximal margin and heads for the hedge of the support plus it;
+  a minor cycle drops the first atom that empties on the way and heads for
+  the hedge of the rest. A face without a hedge is walked along its ray.
+  Exact in a handful of steps, and sound on ill-conditioned Grams.
 
 Also: hedge (the signed mass-one measure with margin identically zero on a
 set), grow/prune sets, topiaric-index predicates, removal orderings, and a
@@ -58,8 +59,10 @@ DECONSTRUCT_CAP = 16
 
 # relative pivot threshold below which an augmented system is declared
 # singular, against max(1, max|M|) for an LU pivot and against sigma for a
-# squared pivot of the support factor (`SolverState.shifted_hedge`), which
-# then defers to the LU; never regularized silently
+# squared pivot of the support factor (`SolverState.hedges`), which then
+# defers to the LU, and for the exchange's ||delta_x - nu||^2, the pivot x
+# would add, below which the exchange walks the singular face's ray; never
+# regularized silently
 SINGULARITY_RTOL = 1e-10
 
 # dust: a finished measure, an exchange step and the polish drop atoms this light
@@ -141,7 +144,7 @@ class TopiaryResult:
 class ExchangeOutcome:
     measure: msr.AtomicMeasure
     objective: float
-    inner_iterations: int
+    inner_iterations: int  # major and minor cycles, one bordered solve each
     dropped: Tuple[int, ...]
     margin_at_x: float
 
@@ -183,11 +186,13 @@ class SolverState:
 
     For exchange the state also keeps one lower Cholesky factor of
     H = G_S + sigma 11' over the ids it covers, in the order they joined,
-    with sigma = max(1, max diag G). `shifted_hedge` borders it with the
-    atoms that joined since the last call, an O(s^2) triangular solve each,
-    and refactors it from G[S, S] when an atom it covers has left the
-    support or after _DRIFT_EVERY appended atoms. The factor depends on its
-    ids alone, so a snapshot need not hold it.
+    with sigma = max(1, max diag G), where S is the exchange's face without
+    its entering atom. `hedges` solves the hedge of S and the shifted hedge
+    of the entering atom through it, one `cho_solve` for both; it borders
+    the factor with the atoms that joined since the last call, an O(s^2)
+    triangular solve each, and refactors it from G[S, S] when an atom it
+    covers has left S or after _DRIFT_EVERY appended atoms. The factor
+    depends on its ids alone, so a snapshot need not hold it.
     """
 
     def __init__(self, kern, psi, config=None, start=None, candidates=None):
@@ -265,25 +270,34 @@ class SolverState:
         if drift > _DRIFT_TOL:
             log.warning("incremental caches drifted by %g; recomputed", drift)
 
-    def shifted_hedge(self, S, x):
-        """(v, c) solving [[G_S, 1], [1', 0]] [v; c] = [G[S, x]; 1] on the
-        sorted ids S.
+    def hedges(self, S, x=None):
+        """(V, c) on the sorted ids S, one column per right-hand side of
+        [[G_S, 1], [1', 0]] [v; c] = [b; 1]: b = psi_S, the hedge of S, and
+        when x is given b = G[S, x], the shifted hedge of x.
 
-        Through the factor: with a = H^-1 G[S, x] and e = H^-1 1 from one
-        `cho_solve`, v = a - beta e and c = beta + sigma, where
-        beta = (1'a - 1) / 1'e. For PSD G_S, H is positive definite exactly
+        Through the factor: with A = H^-1 [b...] and e = H^-1 1 from one
+        `cho_solve`, V = A - e beta' and c = beta + sigma, where
+        beta = (1'A - 1) / 1'e. For PSD G_S, H is positive definite exactly
         when the bordered system is nonsingular. When the Cholesky fails or
         a squared pivot is at most SINGULARITY_RTOL * sigma, the answer (or
         NotPrunable) comes from `_augmented_solve` on G[S, S] instead.
         """
+        rows = (self.psi_values,) if x is None else (self.psi_values, self.G[x])
         order = self._cover(S)
         if order is None:
-            return _augmented_solve(self.G[np.ix_(S, S)], self.G[S, x])
+            return _augmented_solve(self.G[np.ix_(S, S)], np.column_stack([r[S] for r in rows]))
         F = self._factor_ids
-        rhs = np.column_stack([self.G[x, F], np.ones(F.size)])
-        a, e = scipy.linalg.cho_solve((self._factor, True), rhs, check_finite=False).T
-        beta = (float(a.sum()) - 1.0) / float(e.sum())
-        return (a - beta * e)[order], beta + self._sigma
+        rhs = np.column_stack([r[F] for r in rows] + [np.ones(F.size)])
+        sol = scipy.linalg.cho_solve((self._factor, True), rhs, check_finite=False)
+        A, e = sol[:, :-1], sol[:, -1]
+        beta = (A.sum(axis=0) - 1.0) / e.sum()
+        return (A - np.outer(e, beta))[order], beta + self._sigma
+
+    def shifted_hedge(self, S, x):
+        """(v, c) solving [[G_S, 1], [1', 0]] [v; c] = [G[S, x]; 1]; the
+        second column of `hedges`."""
+        V, c = self.hedges(S, x)
+        return V[:, 1], float(c[1])
 
     def _cover(self, S):
         """Make the factor cover exactly S; the permutation that takes its
@@ -486,8 +500,9 @@ def _try_polish(state):
 
 # -- hedge and friends ------------------------------------------------------
 
-def _augmented_solve(G_S, top, bottom=1.0):
-    """Solve [[G_S, 1], [1', 0]] [v; c] = [top; bottom].
+def _augmented_solve(G_S, top):
+    """Solve [[G_S, 1], [1', 0]] [v; c] = [top; 1], column by column when
+    top is a matrix.
 
     Raises NotPrunable when a pivot falls under SINGULARITY_RTOL relative to
     the largest entry. The system is never regularized.
@@ -497,7 +512,8 @@ def _augmented_solve(G_S, top, bottom=1.0):
     M[:s, :s] = G_S
     M[:s, s] = 1.0
     M[s, :s] = 1.0
-    rhs = np.concatenate([np.asarray(top, dtype=float), [float(bottom)]])
+    top = np.asarray(top, dtype=float)
+    rhs = np.concatenate([top, np.ones((1,) + top.shape[1:])])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # scipy warns on exact zero pivots
         lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
@@ -509,7 +525,7 @@ def _augmented_solve(G_S, top, bottom=1.0):
             % (float(pivots.min()), scale)
         )
     sol = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
-    return sol[:s], float(sol[s])
+    return sol[:s], (sol[s] if top.ndim > 1 else float(sol[s]))
 
 
 def hedge(kern, psi, A):
@@ -553,97 +569,81 @@ def _validate_subset(kern, A):
 # -- exchange ---------------------------------------------------------------
 
 def _exchange_core(state, x):
-    """Drive the margin at x to zero along hedge-shift rays, moving state.
+    """Wolfe's rule: move w toward the hedge of T = support + x, dropping the
+    first atom that empties on the way, until w lands on the hedge of a T.
 
-    Each inner step reads mu(x), the margin at x and the objective off the
-    state's table, solves the shifted hedge system on the support S without
-    x through the state's support factor (`SolverState.shifted_hedge`; its
-    only Gram reads are G[S, x] and the rows of atoms that joined S, unless
-    it refactors or defers to the LU), walks w along delta_x - nu and
-    recomputes the table. v' G_S v is nu(x) - c, so no product over G[S, S]
-    is formed. Returns (dropped ids, inner iteration count, final margin).
-    The ko rule is structural: only x ever gains weight, so an atom dropped
-    here cannot re-enter within the call.
+    Each cycle solves, through the state's support factor, the hedge h of
+    S = T - x and the shifted hedge nu of x (`SolverState.hedges`, one
+    bordered solve). The hedge of T is then h + tau (delta_x - nu), with tau
+    the margin of x under h over ||delta_x - nu||^2. It maximizes the
+    concave objective on the affine hull of T, so no move lowers it. When
+    that squared length is at most SINGULARITY_RTOL * sigma, T is affinely
+    dependent, the objective is linear along delta_x - nu, and w walks that
+    ray uphill to its first empty atom instead. If x itself empties, or x is
+    None (a support-side step), the target is h. A landing that leaves the
+    margin at x above tolerance starts another major cycle. T only shrinks
+    within a major cycle, so a dropped atom cannot re-enter (ko rule).
+    Returns (dropped ids, cycle count, final margin at x).
     """
-    G, psi_values, cfg = state.G, state.psi_values, state.config
-    w = state.w
+    G, psi_values, w = state.G, state.psi_values, state.w
+    tol = state.config.margin_tol
     dropped = []
     inner = 0
     limit = 2 * len(w) + 8
+    enter = x
     while True:
-        tab = state.table
-        mu_x = float(tab.mu[x])
-        iota0 = float(tab.margins[x])
-        if iota0 <= cfg.margin_tol:
-            break
+        sup = np.flatnonzero(w)
+        S = sup[sup != enter]
+        if S.size == 0:
+            break  # w is delta_x, the hedge of T = {x}
         inner += 1
         if inner > limit:
-            raise NoProgress("exchange failed to close the margin at %d" % x)
-
-        sup = np.flatnonzero(w)
-        S = sup[sup != x]
-        if S.size == 0:
-            # support is already {x}; its own margin is zero by definition,
-            # so iota0 > margin_tol cannot hold unless the table lies
-            raise NoProgress("margin positive at the only support atom %d" % x)
-        v, c = state.shifted_hedge(S, x)
-
-        nu_x = float(v @ G[S, x])
-        vGv = nu_x - c  # G_S v = G[S, x] - c 1 and 1'v = 1
-        quad = float(G[x, x]) - 2.0 * nu_x + vGv  # ||delta_x - nu||^2
-        mu_d = mu_x - float(v @ tab.mu[S])
-        slope = float(psi_values[x]) - float(v @ psi_values[S]) - mu_d  # dO/dt at 0
-        lin_coef = (float(G[x, x]) - nu_x) + (slope + mu_d) - 2.0 * mu_d
-
-        t_obj = slope / quad if quad > ZERO_TOL else (np.inf if slope > 0 else 0.0)
-        t_zero = _smallest_positive_root(quad, lin_coef, iota0)
-        vpos = v > ZERO_TOL
-        t_pos = float((w[S][vpos] / v[vpos]).min()) if vpos.any() else np.inf
-
-        t = min(t_pos, t_zero, t_obj)
-        if not np.isfinite(t) or t <= ZERO_TOL:
-            raise NoProgress(
-                "exchange step collapsed (t = %.3g) with margin %.3g at %d"
-                % (t, iota0, x)
-            )
-        w[S] -= t * v
-        w[x] += t
-        np.maximum(w, 0.0, out=w)
-        for i in S[w[S] < WEIGHT_TOL]:
-            dropped.append(int(i))
-            w[i] = 0.0
+            raise NoProgress("exchange did not land within %d cycles (entering %s)" % (limit, x))
+        before = state.table.objective
+        V, c = state.hedges(S, enter)
+        T, y = S, V[:, 0]
+        if enter is not None:
+            T = np.append(S, enter)
+            h, nu, g = V[:, 0], V[:, 1], G[S, enter]
+            quad = float(G[enter, enter] - nu @ g - c[1])  # ||delta_x - nu||^2
+            lift = float(psi_values[enter] - h @ g - c[0])  # margin at x under h
+            if quad > SINGULARITY_RTOL * state._sigma:
+                y = np.append(h - (lift / quad) * nu, lift / quad)
+            else:
+                y, ray = None, np.copysign(1.0, lift) * np.append(-nu, 1.0)
+        d = ray if y is None else y - w[T]
+        shrink = d < 0.0
+        ratios = w[T][shrink] / -d[shrink]
+        reach = np.inf if y is None else 1.0
+        step = min(reach, float(ratios.min(initial=np.inf)))
+        if step == reach:
+            w[T] = y
+        else:
+            w[T] += step * d
+            w[T[shrink][np.argmin(ratios)]] = 0.0
+        dust = S[w[S] < WEIGHT_TOL]
+        w[dust] = 0.0
+        dropped.extend(dust.tolist())
+        if enter is not None and w[enter] <= 0.0:
+            w[enter], enter = 0.0, None
         w /= w.sum()
         state._refresh_caches()
-        state._check_monotone(tab.objective, "exchange")
-    return dropped, inner, iota0
-
-
-def _smallest_positive_root(a, b, c):
-    """Smallest root > ZERO_TOL of a t^2 - b t + c = 0, else inf."""
-    if abs(a) <= ZERO_TOL:
-        if b > ZERO_TOL:
-            t = c / b
-            return t if t > ZERO_TOL else np.inf
-        return np.inf
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return np.inf
-    sq = float(np.sqrt(disc))
-    roots = sorted(((b - sq) / (2 * a), (b + sq) / (2 * a)))
-    for t in roots:
-        if t > ZERO_TOL:
-            return t
-    return np.inf
+        state._check_monotone(before, "exchange")
+        if step == reach:
+            if x is None or state.table.margins[x] <= tol:
+                break
+            enter = x
+    return dropped, inner, None if x is None else float(state.table.margins[x])
 
 
 def exchange_add(kern, psi, mu, x, config=None):
     """Add the point x to a measure that is the topiary of its own support.
 
-    Walks mu + t (delta_x - nu) where nu solves the shifted hedge system on
-    the support, so all support margins move in lockstep; t stops at the
-    first of weight feasibility, the margin zero of x, or the objective
-    maximizer. Dropped atoms stay out (ko rule). Ends when the margin at x
-    is within tolerance.
+    Heads for the hedge of the support plus x, dropping the first atom that
+    empties on the way and heading for the hedge of what is left, until it
+    lands (Wolfe's major and minor cycles, `_exchange_core`). Dropped atoms
+    stay out (ko rule). Ends when the margin at x is within tolerance;
+    inner_iterations counts the cycles, one bordered solve each.
     """
     cfg = config if config is not None else SolveConfig()
     x = kern._id(x)
@@ -721,41 +721,30 @@ def _step_second_greedy(state, s, x):
     prune(state)
 
 
-_EXCHANGE_POLISH_BELOW = 1e-6
-
-
 def _step_exchange(state, s, x):
-    cfg = state.config
-    if s <= cfg.margin_tol:
-        # certificate failed on the support side only; exchange cannot
-        # be driven by a non-positive margin, but a prune pass can
-        before_sup = state.support().size
-        prune(state)
-        if state.support().size == before_sup:
-            raise NoProgress(
-                "score %.3g under tolerance with support margin %.3g"
-                % (s, float(state.table.margins[state.support()].min()))
-            )
-        return
+    # a certificate that failed on the support side only heads for the hedge
+    # of the support with no new atom
+    enter = x if s > state.config.margin_tol else None
     before = state.table.objective
-    # a failure part way through the core's inner steps puts the state back
-    # as it was, so the greedy fallback starts from w and its own table
+    # a failure part way through the core's cycles puts the state back as it
+    # was, so the greedy fallback starts from w and its own table
     snapshot = state._snapshot()
     try:
-        dropped, _, _ = _exchange_core(state, x)
+        dropped, _, _ = _exchange_core(state, enter)
     except NotPrunable:
         state._restore(snapshot)
-        greedy_step(state)
+        _step_greedy(state, s, x)
         return
     state.iterations += 1
     state._check_monotone(before, "exchange")
-    state._record(x, dropped)
+    state._record(enter, dropped)
 
 
 _STEPS = {
     "greedy": (_step_greedy, _GREEDY_POLISH_BELOW),
     "second-greedy": (_step_second_greedy, _SECOND_GREEDY_POLISH_BELOW),
-    "exchange": (_step_exchange, _EXCHANGE_POLISH_BELOW),
+    # every exchange step lands on a hedge, so it never polishes
+    "exchange": (_step_exchange, -np.inf),
 }
 
 

@@ -22,7 +22,7 @@ from topiary import portfolio as pf
 from topiary import solver as slv
 from topiary.measure import AtomicMeasure
 
-from conftest import ZIGZAG_COORDS
+from conftest import ZIGZAG_COORDS, seeded_ring_mask
 
 
 @pytest.fixture
@@ -440,6 +440,20 @@ def test_maze_example_escapes(ring_mask, tmp_path, capsys):
     assert pgm[1] == "256 256"
     assert "trichotomy solved" in captured.out
     assert "path escaped" in captured.out
+
+
+def test_maze_on_an_ill_conditioned_ring_exits_0(tmp_path, capsys):
+    """The benchmark ring of seed 25, whose exchange step once collapsed
+    (exit 3), solves and escapes."""
+    mask = tmp_path / "ring25.txt"
+    mask.write_text("".join(
+        "".join("#" if c else "." for c in row) + "\n" for row in seeded_ring_mask(25)))
+    path_csv = tmp_path / "path.csv"
+    rc = cli.run(["maze", "--mask", str(mask), "--cell-size", "0.05", "--path", str(path_csv)])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert "trichotomy solved" in captured.out
+    assert path_csv.read_text().endswith("# status: escaped\n")
 
 
 def test_maze_bad_escape_radius(ring_mask, capsys):

@@ -5,6 +5,8 @@ import pytest
 
 import topiary as tp
 
+from conftest import numpy_margins, seeded_ring_mask, seeded_two_ring_mask
+
 
 def single_cell(offset=1 + 0j, cell=1.0, **kw):
     mask = np.zeros((1, 1), dtype=bool)
@@ -345,3 +347,29 @@ def test_harmonic_mean_value_property():
         val(z0 + h) + val(z0 - h) + val(z0 + 1j * h) + val(z0 - 1j * h) - 4 * val(z0)
     ) / h ** 2
     assert abs(lap) <= 1e-5
+
+
+@pytest.mark.parametrize("mask, seed, radius", [
+    (seeded_ring_mask, 25, None),
+    (seeded_ring_mask, 309, 3.0),
+    (seeded_ring_mask, 305, 2.0),
+    (seeded_two_ring_mask, 2, 3.0),
+    (seeded_two_ring_mask, 8, 3.0),
+])
+def test_exchange_certifies_ill_conditioned_fock_rings(mask, seed, radius):
+    """Fock Grams of ring mazes, in the maze's own frame (radius None) or
+    with the cells scaled out to radius, have cond(G_S) up to ~1e7. The
+    certificate holds the support's margins only within +-tol, so a step
+    that assumes them level can lose its ascent; heading for the hedge of
+    the support plus the new atom certifies at 1e-6, as numpy confirms."""
+    spec = tp.MazeSpec(mask=mask(seed), cell_size=0.05)
+    if radius is None:
+        m = tp.solve_maze(spec)
+        assert m.scale == 1.0 and m.trichotomy == "solved"
+        kern, result = m.kernel, m.result
+    else:
+        points = np.asarray(tp.rasterize(spec))
+        kern = tp.fock(points * (radius / np.abs(points).max()))
+        result = tp.solve(kern, None, tp.SolveConfig(margin_tol=1e-6))
+    top, floor = numpy_margins(kern.gram, np.zeros(kern.n), result.measure)
+    assert top <= 1e-6 and floor >= -1e-6

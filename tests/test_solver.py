@@ -3,11 +3,13 @@ import warnings
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import topiary as tp
 from topiary import solver as slv
 
-from conftest import random_instance
+from conftest import numpy_margins, random_instance
 
 
 def state_from(kern, psi, ids, weights, **kw):
@@ -268,23 +270,24 @@ def test_exchange_add_requires_positive_margin(zigzag, zigzag_psi):
 
 
 def test_failed_exchange_leaves_state_consistent(zigzag, zigzag_psi, monkeypatch):
-    """A NotPrunable on a later inner exchange step falls back to a greedy
-    step on the state as it was, so w and its table still agree."""
+    """A NotPrunable on a later minor cycle of an exchange step falls back
+    to a greedy step on the state as it was, so w and its table still
+    agree."""
     st = tp.SolverState(zigzag, zigzag_psi, start=tp.delta(1))
     s, x = st.table.score, st.table.argmax
     slv._step_exchange(st, s, x)
     assert st.w == pytest.approx([0.0, 0.6, 0.4], abs=1e-14)
 
-    real = tp.SolverState.shifted_hedge
+    real = tp.SolverState.hedges
     calls = []
 
     def fails_second(self, *args, **kwargs):
         calls.append(1)
         if len(calls) == 2:
-            raise tp.NotPrunable("forced on the second inner step")
+            raise tp.NotPrunable("forced on the second minor cycle")
         return real(self, *args, **kwargs)
 
-    monkeypatch.setattr(tp.SolverState, "shifted_hedge", fails_second)
+    monkeypatch.setattr(tp.SolverState, "hedges", fails_second)
     s, x = st.table.score, st.table.argmax
     assert x == 0
     slv._step_exchange(st, s, x)
@@ -293,6 +296,19 @@ def test_failed_exchange_leaves_state_consistent(zigzag, zigzag_psi, monkeypatch
     assert np.max(np.abs(st.table.mu - G @ w)) <= 1e-12
     assert abs(st.table.lin - float(zigzag_psi.values @ w)) <= 1e-12
     assert abs(st.table.norm_sq - float(w @ G @ w)) <= 1e-12
+
+
+def test_support_side_failure_heads_for_the_hedge_of_the_support(zigzag, zigzag_psi):
+    """Score within tolerance but a light atom's margin far under -tol: the
+    exchange step brings in no atom, drops the light one on its way to the
+    hedge of the support and lands on the optimum."""
+    st = state_from(zigzag, zigzag_psi, [0, 1, 2], [0.4, 1e-9, 0.6 - 1e-9],
+                    config=tp.SolveConfig(trace=True))
+    assert st.table.score <= st.config.margin_tol and not st.converged()
+    slv._step_exchange(st, st.table.score, st.table.argmax)
+    assert st.converged()
+    assert st.w == pytest.approx([0.4, 0.0, 0.6], abs=1e-12)
+    assert st.trace[-1].added_point is None and st.trace[-1].dropped_points == (1,)
 
 
 def _euclid_r8(rng, n):
@@ -389,7 +405,7 @@ def test_near_duplicates_defer_to_the_lu_and_fall_back_to_greedy(monkeypatch):
     monkeypatch.setattr(slv, "_augmented_solve", lambda *a: deferred.append(a) or real(*a))
     st = tp.SolverState(kern, psi, start=start)
     with pytest.raises(tp.NotPrunable):
-        st.shifted_hedge(np.array([0, 1]), 2)
+        st.hedges(np.array([0, 1]), 2)
     assert len(deferred) == 1
 
     twin = tp.SolverState(kern, psi, start=start)
@@ -458,6 +474,56 @@ def test_solve_exchange_identity_uniform():
     assert np.allclose(r.measure.as_vector(4), 0.25, atol=1e-10)
     table = tp.margin_table(r.measure, tp.PsiSpec.zero(k), k)
     assert np.max(np.abs(table.margins)) <= 1e-8
+
+
+@pytest.mark.parametrize("n, seed", [(1000, 7), (2000, 11)])
+def test_exchange_certifies_beyond_oracle_size(n, seed):
+    """Gaussian points in R^8 with psi uniform in [-1, 1]: the certificate
+    holds by numpy, on a support of at most d + 1 = 9 atoms."""
+    rng = np.random.default_rng(seed)
+    kern = tp.euclidean(rng.standard_normal((n, 8)))
+    psi = rng.uniform(-1.0, 1.0, n)
+    r = tp.solve_exchange(kern, psi)
+    top, floor = numpy_margins(kern.gram, psi, r.measure)
+    assert top <= r.margin_tol and floor >= -r.margin_tol
+    assert len(r.support()) <= 9
+
+
+@st.composite
+def degenerate_instances(draw):
+    """At most 8 points on a small integer grid in R^2, so the Euclidean
+    Gram has rank <= 2 and duplicates and collinear triples are common;
+    psi zero, tied, or drawn from three values; optionally a cash point,
+    a zero row and column of the Gram."""
+    n = draw(st.integers(2, 8))
+    cash = draw(st.booleans())
+    points = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                           min_size=n - cash, max_size=n - cash))
+    if draw(st.booleans()):
+        points[-1] = points[0]  # a duplicate, whatever else was drawn
+    P = np.array(points, dtype=float)
+    G = np.zeros((n, n))
+    G[:len(P), :len(P)] = P @ P.T
+    psi = draw(st.one_of(
+        st.just([0.0] * n),
+        st.sampled_from([-1.0, 0.5]).map(lambda v: [v] * n),
+        st.lists(st.sampled_from([-1.0, 0.0, 0.5]), min_size=n, max_size=n),
+    ))
+    return G, np.array(psi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(degenerate_instances())
+def test_exchange_agrees_with_oracle_on_degenerate_inputs(instance):
+    G, psi = instance
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", tp.DuplicatePointsWarning)
+        kern = tp.explicit_gram(G)
+    r = tp.solve_exchange(kern, psi)
+    opt = tp.oracle_solve(kern, psi)
+    assert abs(r.objective - opt.objective) <= 1e-9 * max(1.0, float(np.max(np.abs(G))))
+    top, floor = numpy_margins(G, psi, r.measure)
+    assert top <= r.margin_tol and floor >= -r.margin_tol
 
 
 # -- index predicates -------------------------------------------------------
