@@ -91,9 +91,6 @@ class MazeResult:
     result: TopiaryResult
     trichotomy: str  # solved | origin-in-obstacle | target-in-obstacle
 
-    def support_points(self):
-        return tuple(self.points[i] for i in self.result.support())
-
 
 def _cell_centers(spec):
     rows, cols = np.nonzero(spec.mask)

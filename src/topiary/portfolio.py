@@ -29,7 +29,7 @@ from .errors import (
     reals,
 )
 from .kernel import checked_gram, explicit_gram
-from .solver import SolveConfig, solve
+from .solver import solve
 
 RISK_FREE_LABEL = "risk-free"
 
@@ -248,7 +248,8 @@ def optimize_portfolio(spec, config=None):
     """Solve the spec and assemble the report.
 
     Pipeline: risk-belief correction, optional cash asset, optional adaptive
-    reduction, then the solver (second-greedy unless configured otherwise).
+    reduction, then the solver (`SolveConfig()`'s default, exchange, unless
+    configured otherwise).
     Weights are reported in descending order; rate and variance describe the
     converged portfolio.
     """
@@ -257,8 +258,7 @@ def optimize_portfolio(spec, config=None):
         corrected = add_risk_free(corrected)
     kern = explicit_gram(corrected.covariance, labels=corrected.labels)
     psi, kern, constant = reduce_adaptive(corrected, kern)
-    cfg = config if config is not None else SolveConfig(algorithm="second-greedy")
-    result = solve(kern, psi, cfg)
+    result = solve(kern, psi, config)
     weights = tuple(
         sorted(
             ((corrected.labels[i], i, w) for i, w in result.measure.atoms if w != 0.0),

@@ -5,11 +5,14 @@ Three iterative solvers plus ground-truth utilities:
 * greedy: conditional-gradient ascent with exact line search. Simple and
   monotone, but atoms it should not have touched decay only harmonically
   (the chronic zig-zag-drag), so it can stall short of tight tolerances.
+  Once the score is small it polishes: it takes the exchange's
+  support-side Wolfe step and keeps the landing only when it certifies.
 * second-greedy: greedy alternated with a prune pass that deletes atoms
   whose removal-plus-rescale raises the objective. This removes the drag on
   small instances such as the zig-zag, but not at scale: on 1000 Gaussian
   points in R^8 it is still at score 1.6e-5 when it hits the default
-  max_iter, where exchange certifies in 21 iterations.
+  max_iter, where exchange certifies in 21 iterations. It polishes on
+  every new support.
 * exchange: Wolfe's minimum-norm-point method. A major cycle brings in the
   point of maximal margin and heads for the hedge of the support plus it;
   a minor cycle drops the first atom that empties on the way and heads for
@@ -65,7 +68,8 @@ DECONSTRUCT_CAP = 16
 # regularized silently
 SINGULARITY_RTOL = 1e-10
 
-# dust: a finished measure, an exchange step and the polish drop atoms this light
+# dust: a finished measure and every exchange cycle, the polish's included,
+# drop atoms this light
 WEIGHT_TOL = 1e-10
 
 _DRIFT_EVERY = 256
@@ -184,14 +188,14 @@ class SolverState:
     from a full recomputation (`_refresh_caches`). The certificate
     (`converged`) and the monotonicity check read the table.
 
-    For exchange the state also keeps one lower Cholesky factor of
-    H = G_S + sigma 11' over the ids it covers, in the order they joined,
-    with sigma = max(1, max diag G), where S is the exchange's face without
-    its entering atom. `hedges` solves the hedge of S and the shifted hedge
-    of the entering atom through it, one `cho_solve` for both; it borders
-    the factor with the atoms that joined since the last call, an O(s^2)
-    triangular solve each, and refactors it from G[S, S] when an atom it
-    covers has left S or after _DRIFT_EVERY appended atoms. The factor
+    For the exchange and the polish the state also keeps one lower Cholesky
+    factor of H = G_S + sigma 11' over the ids it covers, in the order they
+    joined, with sigma = max(1, max diag G), where S is the exchange's face
+    without its entering atom. `hedges` solves the hedge of S and the
+    shifted hedge of the entering atom through it, one `cho_solve` for both;
+    it borders the factor with the atoms that joined since the last call, an
+    O(s^2) triangular solve each, and refactors it from G[S, S] when an atom
+    it covers has left S or after _DRIFT_EVERY appended atoms. The factor
     depends on its ids alone, so a snapshot need not hold it.
     """
 
@@ -293,12 +297,6 @@ class SolverState:
         beta = (A.sum(axis=0) - 1.0) / e.sum()
         return (A - np.outer(e, beta))[order], beta + self._sigma
 
-    def shifted_hedge(self, S, x):
-        """(v, c) solving [[G_S, 1], [1', 0]] [v; c] = [G[S, x]; 1]; the
-        second column of `hedges`."""
-        V, c = self.hedges(S, x)
-        return V[:, 1], float(c[1])
-
     def _cover(self, S):
         """Make the factor cover exactly S; the permutation that takes its
         ids to S, or None when the factor cannot vouch for S."""
@@ -366,37 +364,37 @@ class SolverState:
             )
 
     def _check_monotone(self, before, where):
+        """Raise when the objective fell from before beyond round-off."""
         after = self.table.objective
-        if _fell(before, after):
+        if after < before - 1e-12 * max(1.0, abs(before)):
             raise MonotonicityError(
                 "%s decreased the objective from %.17g to %.17g" % (where, before, after)
             )
 
 
-def _fell(before, after):
-    """True when the objective fell from before to after beyond round-off."""
-    return after < before - 1e-12 * max(1.0, abs(before))
-
-
 def greedy_step(state):
     """One exact-line-search step toward the maximal-margin candidate.
 
-    Refuses to run on a converged state. Mutates and returns state.
+    Refuses to run when the score is within tolerance. Mutates and returns
+    state.
     """
-    return _greedy_step_raw(state, state.config.margin_tol)
-
-
-def _greedy_step_raw(state, minimum):
-    """Step whenever the score exceeds `minimum`.
-
-    The solve loops pass 0 here: once the score dips under margin_tol they
-    may still owe sub-tolerance ascent steps to shrink a lingering atom
-    whose own margin is too negative for the certificate.
-    """
-    tab = state.table
-    s, x = tab.score, tab.argmax
-    if s <= minimum:
+    s = state.table.score
+    if s <= state.config.margin_tol:
         raise InvalidInput("score %.3g is within tolerance; nothing to add" % s)
+    _step_greedy(state, s, state.table.argmax)
+    return state
+
+
+def _step_greedy(state, s, x):
+    """The greedy step of the solve loop, given the score s and argmax x.
+
+    It steps whenever the score is positive: once the score dips under
+    margin_tol the loop may still owe sub-tolerance ascent steps to shrink
+    a lingering atom whose own margin is too negative for the certificate.
+    """
+    if s <= 0.0:
+        raise NoProgress("certificate failed yet no ascent direction, score %.3g" % s)
+    tab = state.table
     d2 = float(state.G[x, x] - 2.0 * tab.mu[x] + tab.norm_sq)
     if d2 <= ZERO_TOL:
         raise DegenerateDirection(
@@ -416,7 +414,6 @@ def _greedy_step_raw(state, minimum):
     state._check_monotone(tab.objective, "greedy step")
     state._drift_guard()
     state._record(x, ())
-    return state
 
 
 def prune(state):
@@ -458,44 +455,29 @@ def prune(state):
 
 
 def _try_polish(state):
-    """Snap onto the hedge of the current support when that closes the run.
+    """The exchange's support-side step, kept when it closes the run.
 
     Line-search iterations crawl once the support already matches the optimal
-    index; the exact weights on that face are its hedge. Solve it, peel
-    negative-weight atoms off one at a time, and adopt the result only when
-    the full certificate holds and the objective did not fall. Returns True
-    when adopted.
+    index; the exact weights on that face are its hedge. `_exchange_core`
+    with no entering atom heads for the hedge of the support through the
+    support factor, dropping each atom that empties on the way (Wolfe's
+    minor cycles), so no move lowers the objective. The landing is adopted
+    only when the full certificate holds; otherwise, or when the support
+    has no hedge (NotPrunable), the state is put back as it was. Returns
+    True when adopted.
     """
-    S = list(int(i) for i in state.support())
-    before = state.table.objective
-    dropped = []
-    for _ in range(len(S)):
-        try:
-            v, _ = _augmented_solve(state.G[np.ix_(S, S)], state.psi_values[S])
-        except NotPrunable:
-            return False
-        worst = int(np.argmin(v))
-        if v[worst] >= -WEIGHT_TOL:
-            break
-        dropped.append(S.pop(worst))
-        if not S:
-            return False
-    else:
-        return False
-    v = np.clip(v, 0.0, None)
-    total = float(v.sum())
-    if total <= 0.0:
-        return False
     snapshot = state._snapshot()
-    state.w = np.zeros_like(state.w)
-    state.w[S] = v / total
-    state._refresh_caches()
-    if not state.converged() or _fell(before, state.table.objective):
-        state._restore(snapshot)
-        return False
-    state.iterations += 1
-    state._record(None, dropped)
-    return True
+    try:
+        dropped, _, _ = _exchange_core(state, None, "polish")
+    except NotPrunable:
+        pass
+    else:
+        if state.converged():
+            state.iterations += 1
+            state._record(None, dropped)
+            return True
+    state._restore(snapshot)
+    return False
 
 
 # -- hedge and friends ------------------------------------------------------
@@ -568,7 +550,7 @@ def _validate_subset(kern, A):
 
 # -- exchange ---------------------------------------------------------------
 
-def _exchange_core(state, x):
+def _exchange_core(state, x, where="exchange"):
     """Wolfe's rule: move w toward the hedge of T = support + x, dropping the
     first atom that empties on the way, until w lands on the hedge of a T.
 
@@ -583,7 +565,8 @@ def _exchange_core(state, x):
     None (a support-side step), the target is h. A landing that leaves the
     margin at x above tolerance starts another major cycle. T only shrinks
     within a major cycle, so a dropped atom cannot re-enter (ko rule).
-    Returns (dropped ids, cycle count, final margin at x).
+    Returns (dropped ids, cycle count, final margin at x); a fall of the
+    objective raises MonotonicityError naming `where`.
     """
     G, psi_values, w = state.G, state.psi_values, state.w
     tol = state.config.margin_tol
@@ -628,7 +611,7 @@ def _exchange_core(state, x):
             w[enter], enter = 0.0, None
         w /= w.sum()
         state._refresh_caches()
-        state._check_monotone(before, "exchange")
+        state._check_monotone(before, where)
         if step == reach:
             if x is None or state.table.margins[x] <= tol:
                 break
@@ -693,20 +676,13 @@ def _finish(state, algorithm):
 # -- one solve loop, one step per algorithm -----------------------------------
 #
 # Each step advances a state whose certificate failed, given its score s and
-# argmax x. The loop owns the iteration budget, the hedge polish (tried
-# once per support, whenever the score is at most the algorithm's trigger)
-# and the finish.
+# argmax x (`_step_greedy` is above, beside `greedy_step`). The loop owns the
+# iteration budget, the polish (tried once per support, whenever the score
+# is at most the algorithm's trigger) and the finish.
 
 _GREEDY_POLISH_BELOW = 1e-6
 
-
-def _step_greedy(state, s, x):
-    if s <= 0.0:
-        raise NoProgress("certificate failed yet no ascent direction, score %.3g" % s)
-    _greedy_step_raw(state, 0.0)
-
-
-# second-greedy tries the snap on every new support, whatever the score
+# second-greedy tries the polish on every new support, whatever the score
 _SECOND_GREEDY_POLISH_BELOW = np.inf
 
 
@@ -772,8 +748,9 @@ def _drive(algorithm, kern, psi, config, candidates):
             seen.add(key)
         s, x = state.table.score, state.table.argmax
         if s <= polish_below:
-            # the snap outcome depends only on the support set, so retrying on
-            # an unchanged support would just repeat the same rejection
+            # the polish heads for the hedge of the support, which depends
+            # only on the support set, so retrying on an unchanged support
+            # would head for the same target
             key = frozenset(state.support().tolist())
             if key != polished:
                 polished = key

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import topiary as tp
 
-from conftest import ZIGZAG_GRAM
+from conftest import ZIGZAG_GRAM, numpy_margins
 
 
 def returns(labels, rows):
@@ -287,6 +287,20 @@ def test_zigzag_covariance_portfolio():
     # descending weight order in the report
     weights = [weight for _, _, weight in rep.weights]
     assert weights == sorted(weights, reverse=True)
+
+
+def test_thousand_asset_portfolio_certifies():
+    """A rank-8 covariance over 1000 assets: the default solver certifies
+    the portfolio, by numpy, on at most 9 holdings."""
+    rng = np.random.default_rng(7)
+    P = rng.standard_normal((1000, 8))
+    mean = rng.uniform(-1.0, 1.0, 1000)
+    spec = tp.PortfolioSpec(labels=tuple(map(str, range(1000))), mean=mean, covariance=P @ P.T)
+    rep = tp.optimize_portfolio(spec)
+    assert rep.result.algorithm == "exchange"
+    top, floor = numpy_margins(spec.covariance, mean, rep.result.measure)
+    assert top <= rep.result.margin_tol and floor >= -rep.result.margin_tol
+    assert len(rep.weights) <= 9
 
 
 def test_single_asset_portfolio():
