@@ -102,9 +102,6 @@ from .solver import (
     prune_set,
     representatives,
     solve,
-    solve_exchange,
-    solve_greedy,
-    solve_second_greedy,
     solve_subset,
 )
 from .diagnostics import (

@@ -115,7 +115,8 @@ class Kernel:
         self._gram = G
 
         keys = {}
-        for i, row in enumerate(np.round(G, 12)):
+        # -0.0 + 0.0 is 0.0, so entries that round to either zero hash alike
+        for i, row in enumerate(np.round(G, 12) + 0.0):
             keys.setdefault(row.tobytes(), []).append(i)
         self._duplicates = [ids for ids in keys.values() if len(ids) > 1]
         if self._duplicates:

@@ -1,8 +1,9 @@
 """The objective, margin, rate, score, beta and alpha of a measure.
 
-`margin_table` is the one evaluation of a measure mu with ids and weights w.
-One product G[:, ids] @ w gives mu(x) over the ground set; with
-lin = integral(psi d mu) and ||mu||^2 = w' G[ids, ids] w, `MarginTable.tabulate`
+`MarginTable.of` is the one evaluation of a measure mu with ids and weights
+w, shared by `margin_table` and the solver's finish. One product
+G[:, ids] @ w gives mu(x) over the ground set; with lin = integral(psi d mu)
+and ||mu||^2 = w' G[ids, ids] w, `MarginTable.tabulate`
 yields the objective O(mu) = lin - ||mu||^2 / 2 (maximized over probability
 measures), the rate r = lin - ||mu||^2, the margin iota(x) = psi(x) - mu(x) - r
 (the directional derivative of O toward delta_x), the score max iota (the
@@ -114,6 +115,15 @@ class MarginTable:
             lin=lin,
         )
 
+    @classmethod
+    def of(cls, measure, psi_values, cand, G):
+        """The table of measure from one Gram product; cand: sorted id array."""
+        ids, w = measure.ids_within(G.shape[0]), measure.weights
+        mu = w @ G[ids]  # rows: G is exactly symmetric
+        lin = float(np.dot(w, psi_values[ids]))
+        nsq = max(0.0, float(w @ G[np.ix_(ids, ids)] @ w))
+        return cls.tabulate(psi_values, mu, lin, nsq, cand, G)
+
     def certifies(self, support, tol):
         """Score at most tol and every margin on the ids support at least
         -tol; the score bound alone would let a light atom hide a large
@@ -143,12 +153,7 @@ def margin_table(measure, psi, kern, candidates=None):
         cand = np.asarray(sorted(kern._id(c) for c in candidates), dtype=int)
         if cand.size == 0:
             raise InvalidInput("score needs a non-empty candidate set")
-    G = kern.gram
-    ids, w = measure.ids_within(kern.n), measure.weights
-    mu = w @ G[ids]  # rows: G is exactly symmetric
-    lin = float(np.dot(w, psi.values[ids]))
-    nsq = max(0.0, float(w @ G[np.ix_(ids, ids)] @ w))
-    return MarginTable.tabulate(psi.values, mu, lin, nsq, cand, G)
+    return MarginTable.of(measure, psi.values, cand, kern.gram)
 
 
 def aesthetic_objective(measure, psi, kern):

@@ -185,7 +185,9 @@ def apply_risk_belief(spec):
 
     mean' = r + (1-s)(mean - r), covariance' = covariance + lambda *
     diag(covariance); adding a nonnegative diagonal keeps the matrix PSD, and
-    the corrected spec passes the Gram gate again on construction.
+    the corrected spec passes the Gram gate again on construction. A moment
+    whose correction is zero is kept as given, bit for bit, and with both
+    corrections zero the spec itself comes back.
     Returns (corrected spec, flagged asset ids): an asset is flagged when its
     corrected excess return still matches or exceeds its corrected variance,
     the incentive to go all in. The risk-free asset itself is exempt.
@@ -193,9 +195,11 @@ def apply_risk_belief(spec):
     r = spec.risk_free_rate if spec.risk_free_rate is not None else 0.0
     s = spec.mean_shrink
     lam = spec.var_inflate
-    mean = r + (1.0 - s) * (spec.mean - r)
-    cov = spec.covariance + lam * np.diag(np.diag(spec.covariance))
-    corrected = replace(spec, mean=mean, covariance=cov, mean_shrink=0.0, var_inflate=0.0)
+    mean = r + (1.0 - s) * (spec.mean - r) if s else spec.mean
+    cov = spec.covariance + lam * np.diag(np.diag(spec.covariance)) if lam else spec.covariance
+    corrected = spec
+    if s or lam:
+        corrected = replace(spec, mean=mean, covariance=cov, mean_shrink=0.0, var_inflate=0.0)
     var = np.diag(cov)
     flagged = tuple(
         int(i)

@@ -75,8 +75,6 @@ WEIGHT_TOL = 1e-10
 _DRIFT_EVERY = 256
 _DRIFT_TOL = 1e-9
 
-ALGORITHMS = ("greedy", "second-greedy", "exchange")
-
 
 @dataclass
 class SolveConfig:
@@ -195,8 +193,9 @@ class SolverState:
     shifted hedge of the entering atom through it, one `cho_solve` for both;
     it borders the factor with the atoms that joined since the last call, an
     O(s^2) triangular solve each, and refactors it from G[S, S] when an atom
-    it covers has left S or after _DRIFT_EVERY appended atoms. The factor
-    depends on its ids alone, so a snapshot need not hold it.
+    it covers has left S. Bordering adds no drift: the result is the
+    Cholesky factor of its ids in join order. The factor depends on its ids
+    alone, so a snapshot need not hold it.
     """
 
     def __init__(self, kern, psi, config=None, start=None, candidates=None):
@@ -230,7 +229,6 @@ class SolverState:
         self._sigma = max(1.0, float(np.max(np.diag(self.G))))
         self._factor_ids = np.zeros(0, dtype=int)
         self._factor = np.zeros((0, 0), order="F")
-        self._appends = 0
 
     def _to_candidate(self, point_id):
         if point_id in self.candidates:
@@ -303,18 +301,15 @@ class SolverState:
         F = self._factor_ids
         outside = np.ones(self.w.size, dtype=bool)
         outside[S] = False
-        if F.size == 0 or self._appends >= _DRIFT_EVERY or outside[F].any():
+        if outside[F].any():
             F = self._factor_ids = F[:0]
             self._factor = self._factor[:0, :0]
-            self._appends = 0
         outside[F] = True
         new = S[~outside[S]]
         if new.size:
             L = self._border(new)
             if L is None:
                 return None
-            if F.size:
-                self._appends += new.size
             self._factor_ids, self._factor = np.concatenate([F, new]), L
         return np.argsort(self._factor_ids)
 
@@ -658,19 +653,22 @@ def _round_sig(x, digits=12):
     return round(x, digits - 1 - int(floor(log10(abs(x)))))
 
 
-def _finish(state, algorithm):
-    """The result of a state: its measure with dust atoms dropped, unless
-    dropping them costs the certificate that the full measure carries."""
+def _finish(state):
+    """The result of a state, tabulated over the candidates its certificate
+    ranges over: its measure with dust atoms dropped, unless dropping them
+    costs the certificate that the full measure carries."""
     tol = state.config.margin_tol
     full = state.measure()
     measure = msr.drop_small_atoms(full, WEIGHT_TOL)
-    table = obj.margin_table(measure, state.psi, state.kernel)
-    if measure is not full and not table.certifies(list(measure.support()), tol):
-        full_table = obj.margin_table(full, state.psi, state.kernel)
-        if full_table.certifies(list(full.support()), tol):
+    table = obj.MarginTable.of(measure, state.psi_values, state.candidates, state.G)
+    if measure is not full and not table.certifies(measure.ids, tol):
+        full_table = obj.MarginTable.of(full, state.psi_values, state.candidates, state.G)
+        if full_table.certifies(full.ids, tol):
             measure, table = full, full_table
     trace = tuple(state.trace) if state.trace is not None else None
-    return TopiaryResult.from_table(measure, table, tol, state.iterations, algorithm, trace)
+    return TopiaryResult.from_table(
+        measure, table, tol, state.iterations, state.config.algorithm, trace
+    )
 
 
 # -- one solve loop, one step per algorithm -----------------------------------
@@ -723,27 +721,31 @@ _STEPS = {
     "exchange": (_step_exchange, -np.inf),
 }
 
+ALGORITHMS = tuple(_STEPS)
 
-def _drive(algorithm, kern, psi, config, candidates):
-    cfg = config if config is not None else SolveConfig(algorithm=algorithm)
+
+def solve(kern, psi, config=None, candidates=None):
+    """The optimal measure over candidates (default: the ground set) by
+    config.algorithm, scored and certified over those candidates."""
+    cfg = config if config is not None else SolveConfig()
     state = SolverState(kern, psi, cfg, candidates=candidates)
-    step, polish_below = _STEPS[algorithm]
+    step, polish_below = _STEPS[cfg.algorithm]
     seen = set()
     polished = None
     while not state.converged():
         if state.iterations >= cfg.max_iter:
-            partial = _finish(state, algorithm)
+            partial = _finish(state)
             raise MaxIterExceeded(
-                "%s hit max_iter %d with score %.3g" % (algorithm, cfg.max_iter, partial.score),
+                "%s hit max_iter %d with score %.3g"
+                % (cfg.algorithm, cfg.max_iter, partial.score),
                 result=partial,
             )
-        if algorithm == "exchange":
+        if cfg.algorithm == "exchange":
             # greedy ascent cannot come back to a state; an exchange can
             key = (frozenset(state.support().tolist()), _round_sig(state.table.objective))
             if key in seen:
                 raise CycleDetected(
-                    "exchange revisited a support/objective pair",
-                    result=_finish(state, algorithm),
+                    "exchange revisited a support/objective pair", result=_finish(state)
                 )
             seen.add(key)
         s, x = state.table.score, state.table.argmax
@@ -757,31 +759,17 @@ def _drive(algorithm, kern, psi, config, candidates):
                 if _try_polish(state):
                     continue
         step(state, s, x)
-    return _finish(state, algorithm)
-
-
-def solve_greedy(kern, psi, config=None, candidates=None):
-    return _drive("greedy", kern, psi, config, candidates)
-
-
-def solve_second_greedy(kern, psi, config=None, candidates=None):
-    return _drive("second-greedy", kern, psi, config, candidates)
-
-
-def solve_exchange(kern, psi, config=None, candidates=None):
-    return _drive("exchange", kern, psi, config, candidates)
-
-
-def solve(kern, psi, config=None):
-    cfg = config if config is not None else SolveConfig()
-    return _drive(cfg.algorithm, kern, psi, cfg, None)
+    return _finish(state)
 
 
 def solve_subset(kern, psi, subset, config=None):
-    """Topiary of a subset of the ground set, by exchange."""
+    """Topiary of a subset of the ground set, by exchange under the caller's
+    margin_tol and max_iter only: default seed, no trace."""
     ids = _validate_subset(kern, subset)
     cfg = config if config is not None else SolveConfig()
-    return solve_exchange(kern, psi, cfg, candidates=ids)
+    return solve(
+        kern, psi, SolveConfig(margin_tol=cfg.margin_tol, max_iter=cfg.max_iter), candidates=ids
+    )
 
 
 def is_topiaric_index(kern, psi, B, config=None):

@@ -319,6 +319,16 @@ def test_deconstruct_ordering_and_prefixes(problem_file, capsys):
         assert slv.is_topiaric_index(kern, None, order[:k])
 
 
+def test_deconstruct_seed_point_seeds_only_the_full_solve(problem_file, capsys):
+    """Point 1 seeds the full solve; the subset solves behind the ordering
+    start from their own default seed, so a seed outside a subset is no
+    error."""
+    rc = cli.run(["deconstruct", "--input", problem_file, "--seed-point", "1"])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert captured.out.endswith(" ordering 0,2\n")
+
+
 # -- diagnose -------------------------------------------------------------------
 
 def test_diagnose_writes_all_reports(problem_file, tmp_path, capsys):
@@ -470,16 +480,43 @@ def test_maze_bad_target(ring_mask, capsys):
     assert "target" in capsys.readouterr().err
 
 
+def test_maze_target_flag(tmp_path, capsys):
+    mask = tmp_path / "mask.txt"
+    mask.write_text(ring_gap_text(n=12, cell=0.2, r0=0.5, r1=0.9, gap_deg=60.0))
+    argv = ["maze", "--mask", str(mask), "--cell-size", "0.2", "--target"]
+    assert cli.run(argv + ["0.1,0.2"]) == 0, capsys.readouterr().err
+    for bad in ("1", "a,b", "nan,0"):
+        rc = cli.run(argv + [bad])
+        assert rc == 2, bad
+        assert "target" in capsys.readouterr().err
+
+
 # -- module entry point ----------------------------------------------------------
 
 def test_python_dash_m_with_logging(problem_file):
-    env = dict(os.environ, TOPIARY_LOG="info")
-    proc = subprocess.run(
-        [sys.executable, "-m", "topiary", "solve", "--input", problem_file],
-        capture_output=True, text=True, env=env,
-        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.startswith("solve: objective ")
-    assert "INFO topiary:" in proc.stderr
-    assert "3 points" in proc.stderr
+    """TOPIARY_LOG=info logs the problem line on stderr and leaves stdout as
+    an unlogged run prints it; an unknown level warns and falls back to
+    warn. A subprocess, because logging.basicConfig does nothing once
+    pytest has configured the root logger."""
+    def run(level):
+        env = dict(os.environ)
+        env.pop("TOPIARY_LOG", None)
+        if level is not None:
+            env["TOPIARY_LOG"] = level
+        proc = subprocess.run(
+            [sys.executable, "-m", "topiary", "solve", "--input", problem_file],
+            capture_output=True, text=True, env=env,
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc
+
+    plain, info, bogus = run(None), run("info"), run("bogus")
+    assert info.stdout.startswith("solve: objective ")
+    assert "INFO topiary:" in info.stderr
+    assert "3 points" in info.stderr
+    assert plain.stderr == ""
+    assert info.stdout == plain.stdout == bogus.stdout
+    assert "INFO topiary: problem: 3 points, kernel euclidean\n" in info.stderr
+    assert "WARNING topiary: TOPIARY_LOG='bogus' not recognized; using warn\n" in bogus.stderr
+    assert "INFO" not in bogus.stderr

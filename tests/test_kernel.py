@@ -158,6 +158,14 @@ def test_duplicate_points_warn_and_group():
     assert k.duplicate_groups() == [[0, 1]]
 
 
+def test_duplicate_rows_differing_in_the_sign_of_a_rounded_zero():
+    """Rows [1, 1, 1e-13] and [1, 1, -1e-13] round to [1, 1, 0] and
+    [1, 1, -0]: one group, though the two zeros differ in their bytes."""
+    with pytest.warns(tp.DuplicatePointsWarning):
+        k = tp.euclidean([(1.0, 1e-13), (1.0, -1e-13), (0.0, 1.0)])
+    assert k.duplicate_groups() == [[0, 1]]
+
+
 def test_no_warning_without_duplicates(zigzag):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -1,4 +1,5 @@
 import numbers
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -178,6 +179,27 @@ def test_risk_belief_identity():
     assert spec.mean.tolist() == [0.10]
     assert spec.covariance.tolist() == [[0.04]]
     assert flagged == (0,)
+
+
+def test_risk_belief_zero_corrections_keep_moments_bit_identical():
+    """A zero shrink keeps the means and a zero inflation the covariance as
+    given, although r + (1 - 0) * (mean - r) is not mean in floating point
+    for every mean; with both zero the spec itself comes back."""
+    rng = np.random.default_rng(301)
+    P = rng.standard_normal((40, 6)) * 0.01
+    r = 0.0002
+    spec = tp.PortfolioSpec(labels=tuple("a%d" % i for i in range(40)),
+                            mean=rng.normal(0.0005, 0.001, 40),
+                            covariance=P @ P.T, risk_free_rate=r)
+    assert (r + (1.0 - 0.0) * (spec.mean - r) != spec.mean).any()
+    out, _ = tp.apply_risk_belief(spec)
+    assert out is spec
+    out, _ = tp.apply_risk_belief(replace(spec, var_inflate=0.5))
+    assert out.mean.tobytes() == spec.mean.tobytes()
+    assert out.covariance.tobytes() != spec.covariance.tobytes()
+    out, _ = tp.apply_risk_belief(replace(spec, mean_shrink=0.5))
+    assert out.covariance.tobytes() == spec.covariance.tobytes()
+    assert out.mean_shrink == 0.0
 
 
 def test_risk_belief_full_shrink():

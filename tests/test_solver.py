@@ -69,7 +69,7 @@ def test_greedy_interior_gain_formula(zigzag, zigzag_psi):
 
 def test_solve_greedy_singleton():
     k = tp.explicit_gram([[3.0]])
-    r = tp.solve_greedy(k, tp.PsiSpec.table([1.0]))
+    r = tp.solve(k, tp.PsiSpec.table([1.0]), tp.SolveConfig(algorithm="greedy"))
     assert r.measure.atoms == ((0, 1.0),)
     assert r.iterations == 0
 
@@ -78,7 +78,7 @@ def test_solve_greedy_drag(zigzag, zigzag_psi):
     """From the bad seed plain greedy keeps dragging all three atoms."""
     cfg = tp.SolveConfig(algorithm="greedy", max_iter=200, trace=True, seed_point=1)
     with pytest.raises(tp.MaxIterExceeded) as exc:
-        tp.solve_greedy(zigzag, zigzag_psi, cfg)
+        tp.solve(zigzag, zigzag_psi, cfg)
     partial = exc.value.result
     assert partial.measure.support() == (0, 1, 2)
     # the bad atom decays but never leaves
@@ -93,7 +93,7 @@ def test_solve_greedy_drag(zigzag, zigzag_psi):
 def test_solve_greedy_good_seeds(zigzag, zigzag_psi):
     for seed in (0, 2):
         cfg = tp.SolveConfig(algorithm="greedy", seed_point=seed)
-        r = tp.solve_greedy(zigzag, zigzag_psi, cfg)
+        r = tp.solve(zigzag, zigzag_psi, cfg)
         assert r.iterations <= 2
         assert dict(r.measure.atoms) == pytest.approx({0: 0.4, 2: 0.6}, abs=1e-9)
 
@@ -127,7 +127,7 @@ def test_prune_noop_on_uniform_identity():
 # -- second greedy ----------------------------------------------------------
 
 def test_second_greedy_zigzag_exact(zigzag, zigzag_psi):
-    r = tp.solve_second_greedy(zigzag, zigzag_psi, tp.SolveConfig(seed_point=1))
+    r = tp.solve(zigzag, zigzag_psi, tp.SolveConfig(algorithm="second-greedy", seed_point=1))
     assert r.measure.support() == (0, 2)
     w = dict(r.measure.atoms)
     assert w[0] == pytest.approx(0.4, abs=1e-9)
@@ -138,7 +138,7 @@ def test_second_greedy_zigzag_exact(zigzag, zigzag_psi):
 
 def test_second_greedy_immediate_on_optimal_seed():
     k = tp.explicit_gram([[2.0]])
-    r = tp.solve_second_greedy(k, tp.PsiSpec.zero(k))
+    r = tp.solve(k, tp.PsiSpec.zero(k), tp.SolveConfig(algorithm="second-greedy"))
     assert r.iterations == 0
 
 
@@ -338,7 +338,7 @@ def test_exchange_steps_keep_caches_exact(instance):
         assert abs(st.table.lin - float(psi.values @ w)) <= tol
         assert abs(st.table.norm_sq - float(w @ G @ w)) <= tol
     assert steps > 10
-    r = slv._finish(st, "exchange")
+    r = slv._finish(st)
     assert r.score <= r.margin_tol and set(r.support()) <= set(r.index)
     ids = np.array([i for i, _ in r.measure.atoms])
     wts = np.array([v for _, v in r.measure.atoms])
@@ -357,7 +357,7 @@ FACTOR_WALK = [
     ([2], [2]),
     ([2, 4], [2, 4]),
     ([1, 2, 4], [2, 4, 1]),
-    ([1, 2, 3, 4], [1, 2, 3, 4]),
+    ([1, 2, 3, 4], [2, 4, 1, 3]),
     ([1, 3, 4], [1, 3, 4]),
     ([0, 1, 3, 4], [1, 3, 4, 0]),
 ]
@@ -365,8 +365,8 @@ FACTOR_WALK = [
 
 @pytest.mark.parametrize("instance", ["wishart", "euclid-r3"])
 def test_support_factor_agrees_with_the_augmented_solve(instance, monkeypatch):
-    """Along appends, a drift refactor and a middle drop, the factor solves
-    the bordered system as the LU does, without deferring to it."""
+    """Along appends, a middle drop and its refactor, the factor solves the
+    bordered system as the LU does, without deferring to it."""
     rng = np.random.default_rng(64)
     if instance == "wishart":
         kern, psi = random_instance(rng, 8)
@@ -375,7 +375,6 @@ def test_support_factor_agrees_with_the_augmented_solve(instance, monkeypatch):
         psi = tp.PsiSpec.zero(kern)
     G, x = kern.gram, 6
     tol = 1e-12 * float(np.max(np.abs(G)))
-    monkeypatch.setattr(slv, "_DRIFT_EVERY", 2)
     real = slv._augmented_solve
     deferred = []
     monkeypatch.setattr(slv, "_augmented_solve", lambda *a: deferred.append(a) or real(*a))
@@ -392,6 +391,27 @@ def test_support_factor_agrees_with_the_augmented_solve(instance, monkeypatch):
     assert deferred == []
     if instance == "euclid-r3":
         assert np.linalg.matrix_rank(G[np.ix_(S, S)]) == 3
+
+
+def test_support_factor_stays_accurate_over_appends_alone(monkeypatch):
+    """350 atoms joining one at a time are bordered onto one factor, never
+    refactored: it is the Cholesky factor of H over its ids in join order,
+    and its residual max|LL' - H| stays within 4 times that of a fresh
+    `np.linalg.cholesky` of the same H."""
+    rng = np.random.default_rng(66)
+    kern, psi = random_instance(rng, 360)
+    order = rng.permutation(360)[:350]
+    real = slv._augmented_solve
+    deferred = []
+    monkeypatch.setattr(slv, "_augmented_solve", lambda *a: deferred.append(a) or real(*a))
+    st = tp.SolverState(kern, psi)
+    for k in range(1, order.size + 1):
+        st.hedges(np.sort(order[:k]))
+    assert deferred == [] and st._factor_ids.tolist() == order.tolist()
+    H = kern.gram[np.ix_(order, order)] + st._sigma
+    fresh = np.linalg.cholesky(H)
+    L = st._factor
+    assert np.max(np.abs(L @ L.T - H)) <= 4 * np.max(np.abs(fresh @ fresh.T - H))
 
 
 def test_near_duplicates_defer_to_the_lu_and_fall_back_to_greedy(monkeypatch):
@@ -450,7 +470,7 @@ def test_polish_reads_the_hedge_off_the_support_factor(monkeypatch):
     deferred, polished = [], []
     monkeypatch.setattr(slv, "_augmented_solve", lambda *a: deferred.append(a) or real_solve(*a))
     monkeypatch.setattr(slv, "_try_polish", lambda st: polished.append(real_polish(st)) or polished[-1])
-    r = tp.solve_second_greedy(kern, psi)
+    r = tp.solve(kern, psi, tp.SolveConfig(algorithm="second-greedy"))
     assert polished[-1] is True and r.score <= r.margin_tol
     st = tp.SolverState(kern, psi)
     for _ in range(200):
@@ -482,7 +502,7 @@ def test_each_greedy_step_evaluates_its_iterate_once(monkeypatch):
 
 
 def test_solve_exchange_zigzag(zigzag, zigzag_psi):
-    r = tp.solve_exchange(zigzag, zigzag_psi)
+    r = tp.solve(zigzag, zigzag_psi)
     assert r.iterations <= 3
     assert r.index == (0, 2)
     assert dict(r.measure.atoms) == pytest.approx({0: 0.4, 2: 0.6}, abs=1e-10)
@@ -492,7 +512,7 @@ def test_solve_exchange_zigzag(zigzag, zigzag_psi):
 
 def test_solve_exchange_identity_uniform():
     k = tp.explicit_gram(np.eye(4))
-    r = tp.solve_exchange(k, tp.PsiSpec.zero(k))
+    r = tp.solve(k, tp.PsiSpec.zero(k))
     assert np.allclose(r.measure.as_vector(4), 0.25, atol=1e-10)
     table = tp.margin_table(r.measure, tp.PsiSpec.zero(k), k)
     assert np.max(np.abs(table.margins)) <= 1e-8
@@ -505,7 +525,7 @@ def test_exchange_certifies_beyond_oracle_size(n, seed):
     rng = np.random.default_rng(seed)
     kern = tp.euclidean(rng.standard_normal((n, 8)))
     psi = rng.uniform(-1.0, 1.0, n)
-    r = tp.solve_exchange(kern, psi)
+    r = tp.solve(kern, psi)
     top, floor = numpy_margins(kern.gram, psi, r.measure)
     assert top <= r.margin_tol and floor >= -r.margin_tol
     assert len(r.support()) <= 9
@@ -710,3 +730,31 @@ def test_solve_subset_restricts_candidates(zigzag, zigzag_psi):
     assert set(r.measure.support()) <= {0, 1}
     table = tp.margin_table(r.measure, zigzag_psi, zigzag, candidates=[0, 1])
     assert table.score <= 1e-8
+
+
+def test_subset_result_reports_the_certificate_its_solve_checked(zigzag, zigzag_psi):
+    """Over {0, 1} the loop certifies the topiary of {0, 1}; its score is
+    that certificate's, not the margin 3 it leaves at point 2."""
+    r = tp.solve_subset(zigzag, zigzag_psi, [0, 1])
+    assert r.score <= 1e-8
+    assert tp.margin(r.measure, zigzag_psi, zigzag, 2) > 1.0
+
+
+def test_subset_solves_take_only_tolerance_and_budget(zigzag, zigzag_psi):
+    """A seed point outside the subset, a trace flag or another algorithm in
+    the caller's config does not reach the subset solve."""
+    cfg = tp.SolveConfig(algorithm="greedy", seed_point=1, trace=True)
+    r = tp.solve_subset(zigzag, zigzag_psi, [0, 2], cfg)
+    assert (r.algorithm, r.trace, r.margin_tol) == ("exchange", None, cfg.margin_tol)
+    assert tp.grow_set(zigzag, zigzag_psi, [0, 2], config=cfg) == ()
+    assert tp.is_topiaric_index(zigzag, zigzag_psi, [0, 2], cfg) is True
+    assert tp.construction_ordering(zigzag, zigzag_psi, [0, 2], cfg) == (0, 2)
+    with pytest.raises(tp.MaxIterExceeded):
+        tp.solve_subset(zigzag, zigzag_psi, [0, 1, 2], tp.SolveConfig(max_iter=1))
+
+
+def test_solve_reads_the_algorithm_from_its_config_alone(zigzag, zigzag_psi):
+    assert tp.ALGORITHMS == tuple(slv._STEPS) == ("greedy", "second-greedy", "exchange")
+    for algo in tp.ALGORITHMS:
+        r = tp.solve(zigzag, zigzag_psi, tp.SolveConfig(algorithm=algo, seed_point=2))
+        assert r.algorithm == algo and r.index == (0, 2)
