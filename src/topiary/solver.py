@@ -8,15 +8,14 @@ Three iterative solvers plus ground-truth utilities:
   Once the score is small it polishes: it takes the exchange's
   support-side Wolfe step and keeps the landing only when it certifies.
 * second-greedy: greedy alternated with a prune pass that deletes atoms
-  whose removal-plus-rescale raises the objective. This removes the drag on
-  small instances such as the zig-zag, but not at scale: on 1000 Gaussian
-  points in R^8 it is still at score 1.6e-5 when it hits the default
-  max_iter, where exchange certifies in 21 iterations. It polishes on
-  every new support.
+  whose removal-plus-rescale raises the objective, and a polish on every
+  new support. On 1000 Gaussian points in R^8 it certifies in about 1900
+  iterations, where exchange takes 21.
 * exchange: Wolfe's minimum-norm-point method. A major cycle brings in the
   point of maximal margin and heads for the hedge of the support plus it;
   a minor cycle drops the first atom that empties on the way and heads for
-  the hedge of the rest. A face without a hedge is walked along its ray.
+  the hedge of the rest. A face without a hedge, where an atom lies on the
+  affine hull of the others, is walked along that atom's ray.
   Exact in a handful of steps, and sound on ill-conditioned Grams.
 
 Also: hedge (the signed mass-one measure with margin identically zero on a
@@ -60,12 +59,11 @@ log = logging.getLogger("topiary.solver")
 ORACLE_CAP = 12
 DECONSTRUCT_CAP = 16
 
-# relative pivot threshold below which an augmented system is declared
-# singular, against max(1, max|M|) for an LU pivot and against sigma for a
-# squared pivot of the support factor (`SolverState.hedges`), which then
-# defers to the LU, and for the exchange's ||delta_x - nu||^2, the pivot x
-# would add, below which the exchange walks the singular face's ray; never
-# regularized silently
+# relative pivot threshold below which a system is declared singular: an LU
+# pivot of the augmented system against max(1, max|M|), and a squared pivot
+# of the support factor or the exchange's ||delta_x - nu||^2 against sigma,
+# where the atom lies on the affine hull of the atoms before it and the
+# exchange walks its ray; never regularized silently
 SINGULARITY_RTOL = 1e-10
 
 # dust: a finished measure and every exchange cycle, the polish's included,
@@ -187,15 +185,15 @@ class SolverState:
     (`converged`) and the monotonicity check read the table.
 
     For the exchange and the polish the state also keeps one lower Cholesky
-    factor of H = G_S + sigma 11' over the ids it covers, in the order they
-    joined, with sigma = max(1, max diag G), where S is the exchange's face
-    without its entering atom. `hedges` solves the hedge of S and the
-    shifted hedge of the entering atom through it, one `cho_solve` for both;
-    it borders the factor with the atoms that joined since the last call, an
-    O(s^2) triangular solve each, and refactors it from G[S, S] when an atom
-    it covers has left S. Bordering adds no drift: the result is the
-    Cholesky factor of its ids in join order. The factor depends on its ids
-    alone, so a snapshot need not hold it.
+    factor of H = G_S + sigma 11', sigma = max(1, max diag G), over the ids
+    it covers in join order; for PSD G_S, H is positive definite exactly
+    when S is affinely independent. `_cover` borders onto it the atoms of S
+    it lacks, an O(s^2) triangular solve each, refactors it when an atom it
+    covers has left S, and stops at an atom on the affine hull of those
+    before it. `hedges` solves the hedge of its ids and the shifted hedge of
+    one more atom, one `cho_solve` for both. Bordering adds no drift: the
+    result is the Cholesky factor of its ids in join order. The factor
+    depends on its ids alone, so a snapshot need not hold it.
     """
 
     def __init__(self, kern, psi, config=None, start=None, candidates=None):
@@ -220,6 +218,8 @@ class SolverState:
                 vals = self.psi_values[self.candidates] - diag / 2.0
                 seed = int(self.candidates[int(np.argmax(vals))])
             self.w[seed] = 1.0
+        elif start.kind != msr.PROBABILITY:
+            raise InvalidInput("the start of a solve must be a probability measure")
         else:
             self.w = start.as_vector(kern.n)
         self._refresh_caches()
@@ -251,12 +251,6 @@ class SolverState:
         mu = self.w[sup] @ self.G[sup]  # rows: G is exactly symmetric
         self._tabulate(mu, float(self.psi_values[sup] @ self.w[sup]), float(self.w[sup] @ mu[sup]))
 
-    def _snapshot(self):
-        return self.w.copy(), self.table
-
-    def _restore(self, snapshot):
-        self.w, self.table = snapshot
-
     def _drift_guard(self):
         self._since_check += 1
         if self._since_check < _DRIFT_EVERY:
@@ -272,32 +266,29 @@ class SolverState:
         if drift > _DRIFT_TOL:
             log.warning("incremental caches drifted by %g; recomputed", drift)
 
-    def hedges(self, S, x=None):
-        """(V, c) on the sorted ids S, one column per right-hand side of
-        [[G_S, 1], [1', 0]] [v; c] = [b; 1]: b = psi_S, the hedge of S, and
-        when x is given b = G[S, x], the shifted hedge of x.
+    def hedges(self, x=None):
+        """(V, c) on the factor's ids F in ascending order, one column per
+        right-hand side of [[G_F, 1], [1', 0]] [v; c] = [b; 1]: b = psi_F,
+        the hedge of F, and when x is given b = G[F, x], the shifted hedge
+        of x.
 
-        Through the factor: with A = H^-1 [b...] and e = H^-1 1 from one
-        `cho_solve`, V = A - e beta' and c = beta + sigma, where
-        beta = (1'A - 1) / 1'e. For PSD G_S, H is positive definite exactly
-        when the bordered system is nonsingular. When the Cholesky fails or
-        a squared pivot is at most SINGULARITY_RTOL * sigma, the answer (or
-        NotPrunable) comes from `_augmented_solve` on G[S, S] instead.
+        With A = H^-1 [b...] and e = H^-1 1 from one `cho_solve`,
+        V = A - e beta' and c = beta + sigma, where beta = (1'A - 1) / 1'e.
         """
         rows = (self.psi_values,) if x is None else (self.psi_values, self.G[x])
-        order = self._cover(S)
-        if order is None:
-            return _augmented_solve(self.G[np.ix_(S, S)], np.column_stack([r[S] for r in rows]))
         F = self._factor_ids
         rhs = np.column_stack([r[F] for r in rows] + [np.ones(F.size)])
         sol = scipy.linalg.cho_solve((self._factor, True), rhs, check_finite=False)
         A, e = sol[:, :-1], sol[:, -1]
         beta = (A.sum(axis=0) - 1.0) / e.sum()
-        return (A - np.outer(e, beta))[order], beta + self._sigma
+        return (A - np.outer(e, beta))[np.argsort(F)], beta + self._sigma
 
     def _cover(self, S):
-        """Make the factor cover exactly S; the permutation that takes its
-        ids to S, or None when the factor cannot vouch for S."""
+        """Border the atoms of S that the factor lacks onto it, in ascending
+        order, after emptying it if it covers an atom outside S. Returns
+        None once it covers S, or else the first of them whose squared pivot
+        is at most SINGULARITY_RTOL * sigma: that atom lies on the affine
+        hull of the ids bordered before it, which the factor then covers."""
         F = self._factor_ids
         outside = np.ones(self.w.size, dtype=bool)
         outside[S] = False
@@ -306,16 +297,16 @@ class SolverState:
             self._factor = self._factor[:0, :0]
         outside[F] = True
         new = S[~outside[S]]
-        if new.size:
-            L = self._border(new)
-            if L is None:
-                return None
-            self._factor_ids, self._factor = np.concatenate([F, new]), L
-        return np.argsort(self._factor_ids)
+        if new.size == 0:
+            return None
+        self._factor, k = self._border(new)
+        self._factor_ids = np.concatenate([F, new[:k]])
+        return None if k == new.size else int(new[k])
 
     def _border(self, new):
-        """The factor of H over the factor's ids then new; None when H over
-        them is not safely positive definite."""
+        """(factor of H over the factor's ids then new[:k], k), where new[k]
+        is the first atom whose squared pivot is at most SINGULARITY_RTOL *
+        sigma, or k = new.size when there is none."""
         F, L, sigma = self._factor_ids, self._factor, self._sigma
         k = F.size
         B = np.zeros((k, new.size))
@@ -323,17 +314,24 @@ class SolverState:
             B = scipy.linalg.solve_triangular(
                 L, self.G[np.ix_(F, new)] + sigma, lower=True, check_finite=False
             )
+        C = self.G[np.ix_(new, new)] + sigma - B.T @ B
+        m = new.size
         try:
-            D = np.linalg.cholesky(self.G[np.ix_(new, new)] + sigma - B.T @ B)
+            D = np.linalg.cholesky(C)
         except np.linalg.LinAlgError:
-            return None
-        if float(np.min(np.diag(D))) ** 2 <= SINGULARITY_RTOL * sigma:
-            return None
-        out = np.zeros((k + new.size, k + new.size), order="F")
+            D = None
+        if D is None or float(np.min(np.diag(D))) ** 2 <= SINGULARITY_RTOL * sigma:
+            # potrf's info names the first pivot that is not positive, and
+            # the columns before it are the factor of their leading block
+            D, info = scipy.linalg.lapack.dpotrf(C, lower=True, clean=True)
+            m = info - 1 if info else m
+            m = next((j for j in range(m) if D[j, j] ** 2 <= SINGULARITY_RTOL * sigma), m)
+            D, B = D[:m, :m], B[:, :m]
+        out = np.zeros((k + m, k + m), order="F")
         out[:k, :k] = L
         out[k:, :k] = B.T
         out[k:, k:] = D
-        return out
+        return out, m
 
     def support(self):
         return np.flatnonzero(self.w)
@@ -456,22 +454,17 @@ def _try_polish(state):
     index; the exact weights on that face are its hedge. `_exchange_core`
     with no entering atom heads for the hedge of the support through the
     support factor, dropping each atom that empties on the way (Wolfe's
-    minor cycles), so no move lowers the objective. The landing is adopted
-    only when the full certificate holds; otherwise, or when the support
-    has no hedge (NotPrunable), the state is put back as it was. Returns
-    True when adopted.
+    minor cycles) or on a dependent atom's ray, so no move lowers the
+    objective. The landing is adopted only when the full certificate holds;
+    otherwise the state is put back as it was. Returns True when adopted.
     """
-    snapshot = state._snapshot()
-    try:
-        dropped, _, _ = _exchange_core(state, None, "polish")
-    except NotPrunable:
-        pass
-    else:
-        if state.converged():
-            state.iterations += 1
-            state._record(None, dropped)
-            return True
-    state._restore(snapshot)
+    w, table = state.w.copy(), state.table
+    dropped, _, _ = _exchange_core(state, None, "polish")
+    if state.converged():
+        state.iterations += 1
+        state._record(None, dropped)
+        return True
+    state.w, state.table = w, table
     return False
 
 
@@ -557,8 +550,10 @@ def _exchange_core(state, x, where="exchange"):
     that squared length is at most SINGULARITY_RTOL * sigma, T is affinely
     dependent, the objective is linear along delta_x - nu, and w walks that
     ray uphill to its first empty atom instead. If x itself empties, or x is
-    None (a support-side step), the target is h. A landing that leaves the
-    margin at x above tolerance starts another major cycle. T only shrinks
+    None (a support-side step), the target is h. When S has no hedge, the
+    factor names an atom a of S on the affine hull of the atoms bordered
+    before it, and w walks the ray of a the same way. A landing that leaves
+    the margin at x above tolerance starts another major cycle. T only shrinks
     within a major cycle, so a dropped atom cannot re-enter (ko rule).
     Returns (dropped ids, cycle count, final margin at x); a fall of the
     objective raises MonotonicityError naming `where`.
@@ -578,9 +573,18 @@ def _exchange_core(state, x, where="exchange"):
         if inner > limit:
             raise NoProgress("exchange did not land within %d cycles (entering %s)" % (limit, x))
         before = state.table.objective
-        V, c = state.hedges(S, enter)
-        T, y = S, V[:, 0]
-        if enter is not None:
+        a = state._cover(S)
+        if a is not None:
+            # S has no hedge: a lies on the affine hull of F, the atoms
+            # bordered before it, so the objective is linear along
+            # delta_a - nu; its slope is the margin at a less nu's on F
+            F = np.sort(state._factor_ids)
+            T, nu, iota = np.append(F, a), state.hedges(a)[0][:, 1], state.table.margins
+            y, slope = None, iota[a] - nu @ iota[F]
+        elif enter is None:
+            T, y = S, state.hedges()[0][:, 0]
+        else:
+            V, c = state.hedges(enter)
             T = np.append(S, enter)
             h, nu, g = V[:, 0], V[:, 1], G[S, enter]
             quad = float(G[enter, enter] - nu @ g - c[1])  # ||delta_x - nu||^2
@@ -588,8 +592,9 @@ def _exchange_core(state, x, where="exchange"):
             if quad > SINGULARITY_RTOL * state._sigma:
                 y = np.append(h - (lift / quad) * nu, lift / quad)
             else:
-                y, ray = None, np.copysign(1.0, lift) * np.append(-nu, 1.0)
-        d = ray if y is None else y - w[T]
+                y, slope = None, lift
+        # no target: walk uphill along the ray of T's last atom
+        d = np.copysign(1.0, slope) * np.append(-nu, 1.0) if y is None else y - w[T]
         shrink = d < 0.0
         ratios = w[T][shrink] / -d[shrink]
         reach = np.inf if y is None else 1.0
@@ -700,15 +705,7 @@ def _step_exchange(state, s, x):
     # of the support with no new atom
     enter = x if s > state.config.margin_tol else None
     before = state.table.objective
-    # a failure part way through the core's cycles puts the state back as it
-    # was, so the greedy fallback starts from w and its own table
-    snapshot = state._snapshot()
-    try:
-        dropped, _, _ = _exchange_core(state, enter)
-    except NotPrunable:
-        state._restore(snapshot)
-        _step_greedy(state, s, x)
-        return
+    dropped, _, _ = _exchange_core(state, enter)
     state.iterations += 1
     state._check_monotone(before, "exchange")
     state._record(enter, dropped)

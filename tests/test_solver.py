@@ -269,32 +269,51 @@ def test_exchange_add_requires_positive_margin(zigzag, zigzag_psi):
         tp.exchange_add(zigzag, zigzag_psi, mu, 1)
 
 
-def test_failed_exchange_leaves_state_consistent(zigzag, zigzag_psi, monkeypatch):
-    """A NotPrunable on a later minor cycle of an exchange step falls back
-    to a greedy step on the state as it was, so w and its table still
-    agree."""
-    st = tp.SolverState(zigzag, zigzag_psi, start=tp.delta(1))
-    s, x = st.table.score, st.table.argmax
-    slv._step_exchange(st, s, x)
-    assert st.w == pytest.approx([0.0, 0.6, 0.4], abs=1e-14)
+def test_a_start_must_be_a_probability_measure(zigzag, zigzag_psi):
+    """A signed start, here the hedge of the zig-zag with weights
+    (0.8, -1, 1.2) or a point mass of 2, is refused rather than taken as
+    the weights of a solve or of an exchange."""
+    twice = tp.signed([0], [2.0])
+    for start in (tp.hedge(zigzag, zigzag_psi, [0, 1, 2])[0], twice):
+        with pytest.raises(tp.InvalidInput, match="probability"):
+            tp.SolverState(zigzag, zigzag_psi, start=start)
+    with pytest.raises(tp.InvalidInput, match="probability"):
+        tp.exchange_add(zigzag, zigzag_psi, twice, 2)
 
-    real = tp.SolverState.hedges
-    calls = []
 
-    def fails_second(self, *args, **kwargs):
-        calls.append(1)
-        if len(calls) == 2:
-            raise tp.NotPrunable("forced on the second minor cycle")
-        return real(self, *args, **kwargs)
+def named_atoms(monkeypatch):
+    """The atoms `SolverState._cover` names as lying on the affine hull of
+    the atoms bordered before them, in the order it names them."""
+    real, named = tp.SolverState._cover, []
 
-    monkeypatch.setattr(tp.SolverState, "hedges", fails_second)
-    s, x = st.table.score, st.table.argmax
-    assert x == 0
-    slv._step_exchange(st, s, x)
-    assert len(calls) == 2
-    G, w = zigzag.gram, st.w
+    def spy(self, S):
+        a = real(self, S)
+        if a is not None:
+            named.append(a)
+        return a
+
+    monkeypatch.setattr(tp.SolverState, "_cover", spy)
+    return named
+
+
+def test_failed_exchange_leaves_state_consistent(monkeypatch):
+    """Four atoms in R^2 have no hedge: the factor covers three and names
+    the fourth, which lies on their affine hull. The exchange step walks
+    its ray to the first empty atom and carries on; w stays a probability
+    vector, the objective does not fall, and the table still agrees with
+    w."""
+    kern = tp.euclidean([(-3.0, 1.0), (0.0, 2.0), (2.0, 1.0), (0.0, 1.0), (1.0, -2.0)])
+    psi = tp.PsiSpec.table([0.0, 0.5, 0.0, 1.0, 0.0])
+    st = state_from(kern, psi, [0, 1, 2, 3], [0.25] * 4)
+    named = named_atoms(monkeypatch)
+    before = st.table.objective
+    slv._step_exchange(st, st.table.score, st.table.argmax)
+    assert named[0] == 3
+    G, w = kern.gram, st.w
+    assert w.min() >= 0.0 and abs(w.sum() - 1.0) <= 1e-14
+    assert np.flatnonzero(w).size < 4 and st.table.objective > before
     assert np.max(np.abs(st.table.mu - G @ w)) <= 1e-12
-    assert abs(st.table.lin - float(zigzag_psi.values @ w)) <= 1e-12
+    assert abs(st.table.lin - float(psi.values @ w)) <= 1e-12
     assert abs(st.table.norm_sq - float(w @ G @ w)) <= 1e-12
 
 
@@ -349,10 +368,9 @@ def test_exchange_steps_keep_caches_exact(instance):
 
 
 # (support S, factor ids afterwards): the first call factors, appends keep
-# the join order, the third appended atom finds _DRIFT_EVERY = 2 appends
-# behind it and refactors in sorted order, and dropping atom 2 from the
-# middle refactors. The fourth and sixth supports hold 4 atoms, so G_S is
-# singular in R^3; the refactor reaches one and an append the other.
+# the join order, and dropping atom 2 from the middle refactors in sorted
+# order. The fourth and sixth supports hold 4 atoms, so G_S is singular in
+# R^3 while the bordered system is not; the factor reaches both by appends.
 FACTOR_WALK = [
     ([2], [2]),
     ([2, 4], [2, 4]),
@@ -364,9 +382,10 @@ FACTOR_WALK = [
 
 
 @pytest.mark.parametrize("instance", ["wishart", "euclid-r3"])
-def test_support_factor_agrees_with_the_augmented_solve(instance, monkeypatch):
-    """Along appends, a middle drop and its refactor, the factor solves the
-    bordered system as the LU does, without deferring to it."""
+def test_support_factor_agrees_with_the_augmented_solve(instance):
+    """Along appends, a middle drop and its refactor, the factor covers
+    each support without naming a dependent atom and solves the bordered
+    system as the LU does."""
     rng = np.random.default_rng(64)
     if instance == "wishart":
         kern, psi = random_instance(rng, 8)
@@ -375,67 +394,67 @@ def test_support_factor_agrees_with_the_augmented_solve(instance, monkeypatch):
         psi = tp.PsiSpec.zero(kern)
     G, x = kern.gram, 6
     tol = 1e-12 * float(np.max(np.abs(G)))
-    real = slv._augmented_solve
-    deferred = []
-    monkeypatch.setattr(slv, "_augmented_solve", lambda *a: deferred.append(a) or real(*a))
     st = tp.SolverState(kern, psi)
     for S, ids in FACTOR_WALK:
         S = np.array(S)
-        V, c = st.hedges(S, x)
+        assert st._cover(S) is None
+        V, c = st.hedges(x)
         v, c = V[:, 1], float(c[1])
-        v0, c0 = real(G[np.ix_(S, S)], G[S, x])
+        v0, c0 = slv._augmented_solve(G[np.ix_(S, S)], G[S, x])
         assert np.max(np.abs(v - v0)) <= tol and abs(c - c0) <= tol
         assert st._factor_ids.tolist() == ids
         L = st._factor
         assert np.max(np.abs(L @ L.T - G[np.ix_(ids, ids)] - st._sigma)) <= tol
-    assert deferred == []
     if instance == "euclid-r3":
         assert np.linalg.matrix_rank(G[np.ix_(S, S)]) == 3
 
 
-def test_support_factor_stays_accurate_over_appends_alone(monkeypatch):
+def test_support_factor_stays_accurate_over_appends_alone():
     """350 atoms joining one at a time are bordered onto one factor, never
-    refactored: it is the Cholesky factor of H over its ids in join order,
-    and its residual max|LL' - H| stays within 4 times that of a fresh
-    `np.linalg.cholesky` of the same H."""
+    refactored and none named dependent: it is the Cholesky factor of H
+    over its ids in join order, and its residual max|LL' - H| stays within
+    4 times that of a fresh `np.linalg.cholesky` of the same H."""
     rng = np.random.default_rng(66)
     kern, psi = random_instance(rng, 360)
     order = rng.permutation(360)[:350]
-    real = slv._augmented_solve
-    deferred = []
-    monkeypatch.setattr(slv, "_augmented_solve", lambda *a: deferred.append(a) or real(*a))
     st = tp.SolverState(kern, psi)
     for k in range(1, order.size + 1):
-        st.hedges(np.sort(order[:k]))
-    assert deferred == [] and st._factor_ids.tolist() == order.tolist()
+        assert st._cover(np.sort(order[:k])) is None
+    assert st._factor_ids.tolist() == order.tolist()
     H = kern.gram[np.ix_(order, order)] + st._sigma
     fresh = np.linalg.cholesky(H)
     L = st._factor
     assert np.max(np.abs(L @ L.T - H)) <= 4 * np.max(np.abs(fresh @ fresh.T - H))
 
 
-def test_near_duplicates_defer_to_the_lu_and_fall_back_to_greedy(monkeypatch):
-    """Two points 1e-7 apart make the bordered system singular: the factor
-    defers to `_augmented_solve`, whose NotPrunable sends the exchange step
-    to the greedy step it would take from the same state."""
+def test_near_duplicate_twins_walk_their_ray(monkeypatch):
+    """Two points 1e-7 apart have no hedge: the factor names the second
+    twin, the exchange step walks the twins' ray until one twin drops out,
+    then heads for the hedge with the entering point. The objective rises,
+    the table matches a fresh recomputation, and the steps go on to a
+    certificate that numpy confirms."""
     kern = tp.euclidean([(1.0, 0.0), (1.0, 1e-7), (0.0, 2.0)])
     psi = tp.PsiSpec.table([0.0, 0.0, 3.0])
-    start = tp.probability([0, 1], [0.5, 0.5])
-    real = slv._augmented_solve
-    deferred = []
-    monkeypatch.setattr(slv, "_augmented_solve", lambda *a: deferred.append(a) or real(*a))
-    st = tp.SolverState(kern, psi, start=start)
-    with pytest.raises(tp.NotPrunable):
-        st.hedges(np.array([0, 1]), 2)
-    assert len(deferred) == 1
-
-    twin = tp.SolverState(kern, psi, start=start)
-    tp.greedy_step(twin)
+    st = state_from(kern, psi, [0, 1], [0.5, 0.5], config=tp.SolveConfig(trace=True))
+    named = named_atoms(monkeypatch)
+    before = st.table.objective
     s, x = st.table.score, st.table.argmax
     assert x == 2
     slv._step_exchange(st, s, x)
-    assert len(deferred) == 2
-    assert st.w.tobytes() == twin.w.tobytes() and st.table.mu.tobytes() == twin.table.mu.tobytes()
+    assert named == [1]
+    twins = st.w[:2]
+    assert np.count_nonzero(twins) == 1 and st.w[2] > 0.0
+    assert st.trace[-1].added_point == 2
+    assert st.trace[-1].dropped_points == (int(np.flatnonzero(twins == 0.0)[0]),)
+    assert st.table.objective > before
+    fresh = tp.margin_table(st.measure(), psi, kern)
+    assert np.max(np.abs(st.table.margins - fresh.margins)) <= 1e-12
+    assert abs(st.table.objective - fresh.objective) <= 1e-12
+    while not st.converged():
+        slv._step_exchange(st, st.table.score, st.table.argmax)
+    r = slv._finish(st)
+    top, floor = numpy_margins(kern.gram, psi.values, r.measure)
+    assert top <= r.margin_tol and floor >= -r.margin_tol
 
 
 def test_rejected_polish_leaves_state_bit_identical(monkeypatch):
@@ -462,13 +481,12 @@ def test_rejected_polish_leaves_state_bit_identical(monkeypatch):
 
 def test_polish_reads_the_hedge_off_the_support_factor(monkeypatch):
     """On a nonsingular Wishart Gram the polish heads for the hedge of the
-    support through the support factor and never calls `_augmented_solve`:
-    not in a second-greedy solve, which closes on a polish, and not on any
-    of greedy's first 200 iterates."""
+    support through the support factor, which names no dependent atom: not
+    in a second-greedy solve, which closes on a polish, and not on any of
+    greedy's first 200 iterates."""
     kern, psi = random_instance(np.random.default_rng(65), 30)
-    real_solve, real_polish = slv._augmented_solve, slv._try_polish
-    deferred, polished = [], []
-    monkeypatch.setattr(slv, "_augmented_solve", lambda *a: deferred.append(a) or real_solve(*a))
+    real_polish = slv._try_polish
+    named, polished = named_atoms(monkeypatch), []
     monkeypatch.setattr(slv, "_try_polish", lambda st: polished.append(real_polish(st)) or polished[-1])
     r = tp.solve(kern, psi, tp.SolveConfig(algorithm="second-greedy"))
     assert polished[-1] is True and r.score <= r.margin_tol
@@ -478,7 +496,7 @@ def test_polish_reads_the_hedge_off_the_support_factor(monkeypatch):
         if slv._try_polish(st):
             break
     assert len(polished) > 100
-    assert deferred == []
+    assert named == []
 
 
 def test_each_greedy_step_evaluates_its_iterate_once(monkeypatch):
@@ -518,17 +536,22 @@ def test_solve_exchange_identity_uniform():
     assert np.max(np.abs(table.margins)) <= 1e-8
 
 
-@pytest.mark.parametrize("n, seed", [(1000, 7), (2000, 11)])
-def test_exchange_certifies_beyond_oracle_size(n, seed):
+@pytest.mark.parametrize("algorithm", ["exchange", "second-greedy"])
+@pytest.mark.parametrize("n, seed", [(500, 5), (1000, 7), (2000, 11)])
+def test_exchange_certifies_beyond_oracle_size(n, seed, algorithm):
     """Gaussian points in R^8 with psi uniform in [-1, 1]: the certificate
-    holds by numpy, on a support of at most d + 1 = 9 atoms."""
+    holds by numpy, on a support of at most d + 1 = 9 atoms, and the
+    objective agrees with the default solver's. Second-greedy's polish
+    meets supports of 10 or more atoms there, which have no hedge."""
     rng = np.random.default_rng(seed)
     kern = tp.euclidean(rng.standard_normal((n, 8)))
     psi = rng.uniform(-1.0, 1.0, n)
-    r = tp.solve(kern, psi)
+    r = tp.solve(kern, psi, tp.SolveConfig(algorithm=algorithm))
     top, floor = numpy_margins(kern.gram, psi, r.measure)
     assert top <= r.margin_tol and floor >= -r.margin_tol
     assert len(r.support()) <= 9
+    scale = max(1.0, float(np.max(np.abs(kern.gram))))
+    assert abs(r.objective - tp.solve(kern, psi).objective) <= 1e-9 * scale
 
 
 @st.composite
