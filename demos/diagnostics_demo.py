@@ -8,12 +8,13 @@ library emits: the margin/CAPM table (alpha is the margin, the pricing
 inequality holds with nonpositive alpha), the slope table (equal slopes
 between index points, one-sided everywhere else), the security market
 line classification, and the convergence summary of a deliberately slow
-greedy run measured against the exchange optimum.
+run of plain conditional gradient (`greedy_step`, with no polish)
+measured against the exchange optimum.
 """
 import numpy as np
 
 from topiary import diagnostics, objective, solver
-from topiary.errors import MaxIterExceeded
+from topiary.errors import InvalidInput
 from topiary.kernel import explicit_gram
 
 rng = np.random.default_rng(11)
@@ -51,13 +52,14 @@ print("  line: psi = mu + rate, rate %.6f; everything sits on or below it"
       % sml.rate)
 
 print("\n-- convergence of a slow greedy run ----------------------------")
-cfg = solver.SolveConfig(algorithm="greedy", margin_tol=1e-12, max_iter=2000,
-                         trace=True)
-try:
-    slow = solver.solve(kern, psi, cfg)
-    trace = slow.trace
-except MaxIterExceeded as exc:
-    trace = exc.result.trace
+cfg = solver.SolveConfig(margin_tol=1e-12, trace=True)
+state = solver.SolverState(kern, psi, config=cfg)
+for _ in range(2000):
+    try:
+        solver.greedy_step(state)
+    except InvalidInput:
+        break
+trace = state.trace
 summary = diagnostics.convergence_summary(trace, best.objective)
 print("  %d iterations, final gap %.2e, sup n*gap %.4f, violation flag %s"
       % (len(trace), summary.final_gap, summary.sup_n_gap, summary.violation))

@@ -112,8 +112,8 @@ class DegenerateDirection(NumericalError):
 
 
 class NoProgress(NumericalError):
-    """A solve found no way forward: the exchange did not land within its
-    cycle budget, greedy had no ascent left, or the oracle no feasible
+    """A solve found no way forward: an exchange cycle or a polish did not
+    land within its cycle budget, or the oracle found no feasible
     support."""
 
 

@@ -2,15 +2,17 @@
 
 Three iterative solvers plus ground-truth utilities:
 
-* greedy: conditional-gradient ascent with exact line search. Simple and
-  monotone, but atoms it should not have touched decay only harmonically
-  (the chronic zig-zag-drag), so it can stall short of tight tolerances.
-  Once the score is small it polishes: it takes the exchange's
-  support-side Wolfe step and keeps the landing only when it certifies.
-* second-greedy: greedy alternated with a prune pass that deletes atoms
-  whose removal-plus-rescale raises the objective, and a polish on every
-  new support. On 1000 Gaussian points in R^8 it certifies in about 1900
-  iterations, where exchange takes 21.
+* greedy: fully-corrective Frank-Wolfe. Each step is a conditional-gradient
+  step with exact line search, then Wolfe's support-side step: the
+  exchange's move toward the hedge of the support, which drops each atom
+  that empties on the way and never lowers the objective, so it is always
+  kept. Plain conditional gradient (`greedy_step`, with no polish) is
+  monotone but drags: atoms it should not have touched decay only
+  harmonically (the chronic zig-zag-drag).
+* second-greedy: the same, with a prune pass between the line-search step
+  and the polish that deletes atoms whose removal-plus-rescale raises the
+  objective. On 1000 Gaussian points in R^8 both certify in 21 iterations
+  on 9 atoms.
 * exchange: Wolfe's minimum-norm-point method. A major cycle brings in the
   point of maximal margin and heads for the hedge of the support plus it;
   a minor cycle drops the first atom that empties on the way and heads for
@@ -192,8 +194,7 @@ class SolverState:
     covers has left S, and stops at an atom on the affine hull of those
     before it. `hedges` solves the hedge of its ids and the shifted hedge of
     one more atom, one `cho_solve` for both. Bordering adds no drift: the
-    result is the Cholesky factor of its ids in join order. The factor
-    depends on its ids alone, so a snapshot need not hold it.
+    result is the Cholesky factor of its ids in join order.
     """
 
     def __init__(self, kern, psi, config=None, start=None, candidates=None):
@@ -366,7 +367,8 @@ class SolverState:
 
 
 def greedy_step(state):
-    """One exact-line-search step toward the maximal-margin candidate.
+    """One exact-line-search step toward the maximal-margin candidate: plain
+    conditional gradient, with no polish.
 
     Refuses to run when the score is within tolerance. Mutates and returns
     state.
@@ -379,14 +381,8 @@ def greedy_step(state):
 
 
 def _step_greedy(state, s, x):
-    """The greedy step of the solve loop, given the score s and argmax x.
-
-    It steps whenever the score is positive: once the score dips under
-    margin_tol the loop may still owe sub-tolerance ascent steps to shrink
-    a lingering atom whose own margin is too negative for the certificate.
-    """
-    if s <= 0.0:
-        raise NoProgress("certificate failed yet no ascent direction, score %.3g" % s)
+    """The exact line-search step toward the argmax x, given its score
+    s > margin_tol."""
     tab = state.table
     d2 = float(state.G[x, x] - 2.0 * tab.mu[x] + tab.norm_sq)
     if d2 <= ZERO_TOL:
@@ -447,25 +443,18 @@ def prune(state):
     return state
 
 
-def _try_polish(state):
-    """The exchange's support-side step, kept when it closes the run.
+def _polish(state):
+    """Wolfe's support-side step, always kept.
 
     Line-search iterations crawl once the support already matches the optimal
     index; the exact weights on that face are its hedge. `_exchange_core`
     with no entering atom heads for the hedge of the support through the
     support factor, dropping each atom that empties on the way (Wolfe's
     minor cycles) or on a dependent atom's ray, so no move lowers the
-    objective. The landing is adopted only when the full certificate holds;
-    otherwise the state is put back as it was. Returns True when adopted.
+    objective. Records one trace row and no iteration.
     """
-    w, table = state.w.copy(), state.table
     dropped, _, _ = _exchange_core(state, None, "polish")
-    if state.converged():
-        state.iterations += 1
-        state._record(None, dropped)
-        return True
-    state.w, state.table = w, table
-    return False
+    state._record(None, dropped)
 
 
 # -- hedge and friends ------------------------------------------------------
@@ -679,30 +668,28 @@ def _finish(state):
 # -- one solve loop, one step per algorithm -----------------------------------
 #
 # Each step advances a state whose certificate failed, given its score s and
-# argmax x (`_step_greedy` is above, beside `greedy_step`). The loop owns the
-# iteration budget, the polish (tried once per support, whenever the score
-# is at most the algorithm's trigger) and the finish.
+# argmax x, and counts one iteration; the loop owns the iteration budget and
+# the finish. A score at most margin_tol means only a support margin failed:
+# then no new atom enters, and every step heads for the hedge of the support.
 
-_GREEDY_POLISH_BELOW = 1e-6
-
-# second-greedy tries the polish on every new support, whatever the score
-_SECOND_GREEDY_POLISH_BELOW = np.inf
+def _step_fully_corrective(state, s, x):
+    if s > state.config.margin_tol:
+        _step_greedy(state, s, x)
+    else:
+        state.iterations += 1
+    _polish(state)
 
 
 def _step_second_greedy(state, s, x):
-    if s <= state.config.margin_tol:
-        # score within tolerance but a support margin is under -tol
-        before = state.support().size
+    if s > state.config.margin_tol:
+        _step_greedy(state, s, x)
         prune(state)
-        if state.support().size < before:
-            return
-    _step_greedy(state, s, x)
-    prune(state)
+    else:
+        state.iterations += 1
+    _polish(state)
 
 
 def _step_exchange(state, s, x):
-    # a certificate that failed on the support side only heads for the hedge
-    # of the support with no new atom
     enter = x if s > state.config.margin_tol else None
     before = state.table.objective
     dropped, _, _ = _exchange_core(state, enter)
@@ -712,10 +699,9 @@ def _step_exchange(state, s, x):
 
 
 _STEPS = {
-    "greedy": (_step_greedy, _GREEDY_POLISH_BELOW),
-    "second-greedy": (_step_second_greedy, _SECOND_GREEDY_POLISH_BELOW),
-    # every exchange step lands on a hedge, so it never polishes
-    "exchange": (_step_exchange, -np.inf),
+    "greedy": _step_fully_corrective,
+    "second-greedy": _step_second_greedy,
+    "exchange": _step_exchange,
 }
 
 ALGORITHMS = tuple(_STEPS)
@@ -726,9 +712,8 @@ def solve(kern, psi, config=None, candidates=None):
     config.algorithm, scored and certified over those candidates."""
     cfg = config if config is not None else SolveConfig()
     state = SolverState(kern, psi, cfg, candidates=candidates)
-    step, polish_below = _STEPS[cfg.algorithm]
+    step = _STEPS[cfg.algorithm]
     seen = set()
-    polished = None
     while not state.converged():
         if state.iterations >= cfg.max_iter:
             partial = _finish(state)
@@ -745,17 +730,7 @@ def solve(kern, psi, config=None, candidates=None):
                     "exchange revisited a support/objective pair", result=_finish(state)
                 )
             seen.add(key)
-        s, x = state.table.score, state.table.argmax
-        if s <= polish_below:
-            # the polish heads for the hedge of the support, which depends
-            # only on the support set, so retrying on an unchanged support
-            # would head for the same target
-            key = frozenset(state.support().tolist())
-            if key != polished:
-                polished = key
-                if _try_polish(state):
-                    continue
-        step(state, s, x)
+        step(state, state.table.score, state.table.argmax)
     return _finish(state)
 
 

@@ -37,10 +37,10 @@ def _exchange(kern, psi):
 def oracle_suite():
     """200 random PSD instances, oracle plus all three solvers, solved once.
 
-    Greedy converges finitely only when its iterates hit the optimal face,
-    so it runs under a tight tolerance and non-converged instances are
-    recorded rather than forced; the downstream criteria quantify over the
-    converged ones.
+    Greedy runs under a tight tolerance; each of its steps ends on the hedge
+    of its support, so it certifies once the support matches the optimal
+    index. A non-converged instance is recorded rather than forced; the
+    downstream criteria quantify over the converged ones.
     """
     rng = np.random.default_rng(20260815)
     t0 = time.perf_counter()

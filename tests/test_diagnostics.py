@@ -236,10 +236,10 @@ def test_invisible_residual_orthonormal_half():
 
 
 def test_convergence_summary_zigzag_greedy(zigzag, zigzag_psi):
-    cfg = tp.SolveConfig(algorithm="greedy", trace=True, seed_point=1, max_iter=150)
-    with pytest.raises(tp.MaxIterExceeded) as exc:
-        tp.solve(zigzag, zigzag_psi, cfg)
-    trace = exc.value.result.trace
+    st = tp.SolverState(zigzag, zigzag_psi, tp.SolveConfig(trace=True), start=tp.delta(1))
+    for _ in range(150):
+        tp.greedy_step(st)
+    trace = st.trace
     summary = tp.convergence_summary(trace, -0.5)
     assert len(summary.gaps) == len(trace)
     # monotone objective means monotone gaps
