@@ -10,6 +10,7 @@ standard error.
 """
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -47,7 +48,10 @@ def _setup_logging():
         log.warning("TOPIARY_LOG=%r not recognized; using warn", raw)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process: parse_args reads it and
+    never changes it."""
     parser = argparse.ArgumentParser(
         prog="topiary",
         description="Sparse optimal measures over kernel ground sets: "

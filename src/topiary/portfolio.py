@@ -8,7 +8,6 @@ pins the topiaric rate to the risk-free rate whenever cash is held.
 """
 
 import numbers
-import operator
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional, Sequence, Tuple
@@ -112,30 +111,92 @@ def _rounded(num, den, what, *assets):
                            % (what, " and ".join(map(repr, assets)))) from None
 
 
-def ingest_returns(table, annualize_factor=None):
-    """Sample mean and covariance (denominator rows - 1) per asset.
+# a float64 sum of integers is exact while every partial sum stays below 2^53
+_EXACT_BITS = 53
+# rows per block of limbs, which bounds the limb buffer at any table height
+_ROW_BLOCK = 64
 
-    Cells may arrive as strings straight from CSV; anything that does not
-    parse is an error carrying its row and column, never imputed.
-    Annualization, when requested, multiplies both moments by the factor.
 
-    Every moment is the exact rational value rounded once to the nearest
-    double, so hand-checkable fractions like 1/75 come out as exactly that
-    double. Every double is a dyadic rational, so column j is scaled to
-    integers X_ij over its largest denominator 2^e_j; with S_j = sum_i X_ij
-    and D_ij = n X_ij - S_j, the mean is S_j f / (n 2^e_j) and the covariance
-    sum_i D_ij D_ik f / (n^2 (n-1) 2^(e_j+e_k)), each one int/int true
-    division, which Python rounds correctly. A moment beyond the double range
-    is refused with InvalidInput naming its asset or asset pair.
-    """
+def _limb_width(nrows, span):
+    """(b, L): the widest limb b >= 1 whose L = ceil(span / b) limbs cover a
+    span-bit integer with 2b + bitlen(nrows) + bitlen(L) <= 53, so that any
+    sum of nrows * L products of two limbs stays below 2^53."""
+    rows = nrows.bit_length()
+    for b in range((_EXACT_BITS - rows - 1) // 2, 0, -1):
+        count = max(1, -(-span // b))
+        if 2 * b + rows + count.bit_length() <= _EXACT_BITS:
+            return b, count
+    raise InvalidInput("%d rows are too many to sum exactly" % nrows)
+
+
+def _dyadic(data):
+    """Column j of data as integers X_ij = mant_ij 2^shift_ij over 2^e_j,
+    the column's largest denominator: (mant, shift, [e_j], span), with mant
+    integer-valued doubles below 2^53 and |X| below 2^span."""
+    # a cell is mant 2^(ex-53), and the lowest set bit of mant is 2^(low-1)
+    mant, ex = np.frexp(data)
+    np.ldexp(mant, _EXACT_BITS, out=mant)
+    low = np.abs(mant).astype(np.int64)
+    low &= -low
+    low = np.frexp(low)[1] + ex
+    zero = mant == 0
+    exps = np.max(np.where(zero, 0, _EXACT_BITS + 1 - low), axis=0, initial=0)
+    shift = ex + (exps - _EXACT_BITS)
+    span = int(np.max(np.where(zero, 0, shift + _EXACT_BITS), initial=0))
+    return mant, shift, exps.tolist(), span
+
+
+def _limbs(mant, shift, b, count):
+    """Per block of rows, the integers X = mant 2^shift (mant integer-valued)
+    as signed b-bit limbs: [a] holds bits [a b, (a+1) b) of |X| with the
+    sign of X. A cell's 53 bits fall in `reach` limbs from the one holding
+    its lowest bit; only those are computed, and the limbs from `count` on
+    are zero padding. One buffer serves every block."""
+    nrows, ncol = mant.shape
+    reach = 1 + -(-(_EXACT_BITS - 1) // b)
+    depth = count + reach - 1
+    buf = np.empty(depth * min(_ROW_BLOCK, nrows) * ncol)
+    for start in range(0, nrows, _ROW_BLOCK):
+        m, k = mant[start:start + _ROW_BLOCK], shift[start:start + _ROW_BLOCK]
+        size = m.size
+        limbs = buf[:depth * size].reshape(depth, len(m), ncol)
+        limbs.fill(0.0)
+        # X = mant 2^k 2^(first b) with k < b; X < 2^(count b), and the
+        # clip reaches only zero cells
+        first = np.minimum(np.clip(k, 0, None) // b, count - 1)
+        k = k - first * b
+        at = np.arange(size).reshape(m.shape) + size * first.astype(np.intp)
+        for r in range(reach):
+            # limb first + r: trunc(X / 2^((first + r) b)) less its multiple of 2^b
+            y = np.trunc(np.ldexp(m, k - r * b))
+            y -= np.trunc(y * 2.0 ** -b) * 2.0 ** b
+            limbs.put(at + r * size, y)
+        yield limbs
+
+
+def _fold(parts, b):
+    """sum_t parts[t] 2^(b t) as Python ints; parts holds exact integers."""
+    total = 0
+    for part in parts[::-1]:
+        total = (total << b) + part.astype(np.int64).astype(object)
+    return total
+
+
+def _parse(table):
+    """The cells as doubles; a cell that is not a finite number is refused
+    with its row and column."""
     labels = table.labels
     ncol = len(labels)
-    if len(table.rows) < 2:
-        raise TooFewRows("need at least 2 return rows, got %d" % len(table.rows))
     data = np.empty((len(table.rows), ncol))
     for i, row in enumerate(table.rows):
         if len(row) != ncol:
             raise RaggedRow("row %d has %d cells, header has %d" % (i + 1, len(row), ncol))
+        if set(map(type, row)) == {str}:
+            try:
+                data[i] = [float(cell) for cell in row]
+                continue
+            except (ValueError, OverflowError):
+                pass  # the loop below names the cell
         for j, cell in enumerate(row):
             number = isinstance(cell, numbers.Real) and not isinstance(cell, bool)
             try:
@@ -155,28 +216,66 @@ def ingest_returns(table, annualize_factor=None):
         raise NonNumericCell(
             "cell at row %d, column %d is not finite" % (bad[0] + 1, bad[1] + 1)
         )
-    nrows = data.shape[0]
+    return data
+
+
+def ingest_returns(table, annualize_factor=None):
+    """Sample mean and covariance (denominator rows - 1) per asset.
+
+    Cells may arrive as strings straight from CSV; anything that does not
+    parse is an error carrying its row and column, never imputed.
+    Annualization, when requested, multiplies both moments by the factor.
+
+    Every moment is the exact rational value rounded once to the nearest
+    double, so hand-checkable fractions like 1/75 come out as exactly that
+    double. Every double is a dyadic rational, so column j is scaled to
+    integers X_ij over its largest denominator 2^e_j; with S_j = sum_i X_ij
+    and P = X^T X, the mean is S_j f / (n 2^e_j) and the covariance
+    n (n P_jk - S_j S_k) f / (n^2 (n-1) 2^(e_j+e_k)), each one int/int true
+    division, which Python rounds correctly. All means are rounded, and may
+    be refused, before any covariance. A moment beyond the double range is
+    refused with InvalidInput naming its asset or asset pair.
+
+    The integers are summed in float64 without rounding: |X| is split into
+    L signed limbs of b bits with 2b + bitlen(n) + bitlen(L) <= 53, so every
+    partial sum of the n L limb products on one anti-diagonal a + c = t is an
+    integer below 2^53, exact in any summation order, and BLAS forms
+    sum_{a+c=t} limb_a^T limb_c. Python ints then fold the anti-diagonals
+    at shifts b t. This is the error-free splitting of Ozaki, Ogita, Oishi
+    and Rump, Numer. Algorithms 59 (2012).
+    """
+    labels = table.labels
+    ncol = len(labels)
+    if len(table.rows) < 2:
+        raise TooFewRows("need at least 2 return rows, got %d" % len(table.rows))
+    mant, shift, exps, span = _dyadic(_parse(table))
+    nrows = len(mant)
     factor = integer(1 if annualize_factor is None else annualize_factor,
                      "annualize_factor", positive=True)
-    # column j as integers X_ij over 2^e_j, the column's largest denominator
-    scaled, exps = [], []
-    for col in data.T.tolist():
-        ratios = [v.as_integer_ratio() for v in col]
-        e = max(d for _, d in ratios).bit_length() - 1
-        scaled.append([x << (e + 1 - d.bit_length()) for x, d in ratios])
-        exps.append(e)
-    sums = [sum(col) for col in scaled]
-    dev = [[nrows * x - s for x in col] for col, s in zip(scaled, sums)]
-    scale = nrows * nrows * (nrows - 1)
+    b, count = _limb_width(nrows, span)
+
+    sums = _fold(sum(limbs.sum(axis=1) for limbs in _limbs(mant, shift, b, count)), b).tolist()
     mean = np.empty(ncol)
-    cov = np.empty((ncol, ncol))
     for j in range(ncol):
         mean[j] = _rounded(sums[j] * factor, nrows << exps[j], "mean", labels[j])
-    for j in range(ncol):
-        for k in range(j, ncol):
-            c = _rounded(sum(map(operator.mul, dev[j], dev[k])) * factor,
-                         scale << (exps[j] + exps[k]), "covariance", labels[j], labels[k])
-            cov[j, k] = cov[k, j] = c
+
+    acc = np.zeros((2 * count - 1, ncol, ncol))
+    prod = np.empty((ncol, ncol))
+    for limbs in _limbs(mant, shift, b, count):
+        for a in range(count):
+            for c in range(a, count):
+                np.matmul(limbs[a].T, limbs[c], out=prod)
+                acc[a + c] += prod
+                if c > a:
+                    acc[a + c] += prod.T
+    upper = np.triu_indices(ncol)
+    gram = _fold(acc[:, upper[0], upper[1]], b)
+    scale = nrows * nrows * (nrows - 1)
+    cov = np.empty((ncol, ncol))
+    for j, k, p in zip(*map(np.ndarray.tolist, upper), gram.tolist()):
+        c = _rounded(nrows * (nrows * p - sums[j] * sums[k]) * factor,
+                     scale << (exps[j] + exps[k]), "covariance", labels[j], labels[k])
+        cov[j, k] = cov[k, j] = c
     return mean, cov
 
 

@@ -491,6 +491,34 @@ def test_maze_target_flag(tmp_path, capsys):
         assert "target" in capsys.readouterr().err
 
 
+def test_cached_parser_carries_nothing_between_runs(problem_file, ring_mask, capsys,
+                                                    monkeypatch):
+    """build_parser runs once per process. A bad flag, a solve, then a bad
+    maze target, in one process: each returns and prints what it does in a
+    fresh process, and each command sees the namespace a fresh parser
+    gives."""
+    monkeypatch.delenv("TOPIARY_LOG", raising=False)
+    seen = []
+    for name, command in list(cli._COMMANDS.items()):
+        def spy(args, command=command):
+            seen.append(vars(args))
+            return command(args)
+        monkeypatch.setitem(cli._COMMANDS, name, spy)
+    runs = [["solve", "--input", problem_file, "--no-such-flag"],
+            ["solve", "--input", problem_file, "--max-iter", "50"],
+            ["maze", "--mask", ring_mask, "--cell-size", "0.05", "--target", "a,b"]]
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    for argv, code in zip(runs, (2, 0, 2)):
+        assert cli.run(argv) == code
+        here = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "topiary"] + argv,
+                               capture_output=True, text=True, cwd=root)
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, here.out, here.err)
+    assert cli.build_parser() is cli.build_parser()
+    fresh_parser = cli.build_parser.__wrapped__()
+    assert seen == [vars(fresh_parser.parse_args(argv)) for argv in runs[1:]]
+
+
 # -- module entry point ----------------------------------------------------------
 
 def test_python_dash_m_with_logging(problem_file):

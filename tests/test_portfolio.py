@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import topiary as tp
+from topiary import portfolio as pf
 
 from conftest import ZIGZAG_GRAM, numpy_margins
 
@@ -160,6 +161,99 @@ def _outcome(ingest, table, factor, refusals=tp.InvalidInput):
 def test_ingest_is_bit_identical_to_fraction_reference(table, factor):
     expect = _outcome(fraction_ingest, table, factor, (tp.InvalidInput, OverflowError))
     assert _outcome(tp.ingest_returns, table, factor) == expect
+
+
+def _column(rng, kind, nrows):
+    """One column of returns: 6-decimal daily returns, 1e3 plus noise of
+    1e-9 (so the covariance cancels about 40 bits of X^T X, and an inexact
+    product shows), cells across 1e+-150 (about 46 limbs), integers, zeros
+    of both signs, or all-ones mantissas (2^53 - 1) 2^k mixed with 5e-324."""
+    if kind == "decimal":
+        return np.round(rng.normal(0.0, 0.03, nrows), 6)
+    if kind == "offset":
+        return 1e3 + rng.normal(0.0, 1e-9, nrows)
+    sign = rng.choice([-1.0, 1.0], nrows)
+    if kind == "wide":
+        return sign * 10.0 ** rng.uniform(-150, 150, nrows)
+    if kind == "integer":
+        return rng.integers(-10**6, 10**6, nrows).astype(float)
+    if kind == "zero":
+        return sign * 0.0
+    ones = np.ldexp(sign * (2.0**53 - 1), rng.integers(-1074, -900, nrows))
+    return np.where(rng.random(nrows) < 0.3, sign * 5e-324, ones)
+
+
+def _table(columns, text=False):
+    rows = np.column_stack(columns).tolist()
+    if text:
+        rows = [[repr(v) for v in row] for row in rows]
+    return returns("ABCD"[:len(columns)], rows)
+
+
+@st.composite
+def tall_returns_tables(draw):
+    """2-600 rows, so the limb width b and count L take several values."""
+    nrows = draw(st.integers(2, 600))
+    kinds = draw(st.lists(st.sampled_from(["decimal", "offset", "wide", "integer", "zero",
+                                           "ones"]),
+                          min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _table([_column(rng, kind, nrows) for kind in kinds], text=draw(st.booleans()))
+
+
+_RNG = np.random.default_rng(83)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tall_returns_tables(), st.sampled_from([None, 252]))
+@example(_table([_column(_RNG, "decimal", 255), _column(_RNG, "wide", 255)], text=True), None)
+@example(_table([_column(_RNG, "offset", 256), _column(_RNG, "integer", 256)]), 252)
+@example(_table([_column(_RNG, "ones", 257), _column(_RNG, "decimal", 257)]), None)
+@example(_table([_column(_RNG, "ones", 300)]), 252)
+@example(_table([_column(_RNG, "wide", 250), _column(_RNG, "wide", 250)]), None)
+def test_tall_ingest_is_bit_identical_to_fraction_reference(table, factor):
+    """Tall tables through the limb products: row counts where bitlen(rows)
+    steps (255, 256, 257), all-ones mantissas beside 5e-324, and two
+    1e+-150 columns."""
+    expect = _outcome(fraction_ingest, table, factor, (tp.InvalidInput, OverflowError))
+    assert _outcome(tp.ingest_returns, table, factor) == expect
+
+
+@pytest.mark.parametrize("nrows", [2, 255, 256, 4097, 10**6])
+def test_limb_width_keeps_every_limb_sum_below_2_to_53(nrows):
+    """2b + bitlen(rows) + bitlen(L) <= 53 makes each float64 sum of rows * L
+    limb products an integer below 2^53, exact in any order; checked here
+    without BLAS at sizes too tall to ingest, for every span a double
+    column can reach."""
+    for span in range(2101):
+        b, count = pf._limb_width(nrows, span)
+        assert b >= 1 and count >= 1 and count * b >= span
+        assert 2 * b + nrows.bit_length() + count.bit_length() <= 53
+        wider = -(-span // (b + 1)) or 1
+        assert 2 * (b + 1) + nrows.bit_length() + wider.bit_length() > 53
+
+
+def test_every_mean_is_rounded_before_any_covariance():
+    """Column A's variance and column B's mean both overflow; the means are
+    refused first."""
+    table = returns("AB", [(1e200, 1e308), (-1e200, 1e308)])
+    with pytest.raises(tp.InvalidInput, match="covariance of 'A' and 'A'"):
+        tp.ingest_returns(table)
+    with pytest.raises(tp.InvalidInput, match="mean of 'B'"):
+        tp.ingest_returns(table, annualize_factor=252)
+
+
+def test_ingest_cell_types():
+    """A bool cell is refused with its coordinates, a numpy.float64 cell is
+    its exact value, and so is a padded string."""
+    with pytest.raises(tp.NonNumericCell, match=r"row 2, column 1 \(A\) is not a number: True"):
+        tp.ingest_returns(returns("AB", [(0.1, 0.2), (True, 0.3)]))
+    with pytest.raises(tp.NonNumericCell, match="row 1, column 2"):
+        tp.ingest_returns(returns("AB", [("0.1", "True"), ("0.2", "0.3")]))
+    plain = returns("AB", [(0.1, 0.2), (0.3, -0.7), (1e-300, 5.0)])
+    mixed = returns("AB", [(np.float64(0.1), "0.2"), (" 0.3", np.float64(-0.7)),
+                           ("1e-300\t", 5)])
+    assert _outcome(tp.ingest_returns, mixed, None) == _outcome(tp.ingest_returns, plain, None)
 
 
 # -- risk belief ---------------------------------------------------------------
