@@ -62,6 +62,10 @@ def _render(value, indent):
             for k, v in value.items()
         )
         return "{\n%s\n%s}" % (",\n".join(items), " " * indent)
+    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == "f":
+        value = value.tolist()
+    if isinstance(value, (list, tuple)) and all(isinstance(v, float) for v in value):
+        return "[%s]" % ", ".join(map(fmt, value))
     if isinstance(value, (list, tuple, np.ndarray)):
         items = [_render(v, indent + 2) for v in value]
         if all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in value):

@@ -548,3 +548,23 @@ def test_python_dash_m_with_logging(problem_file):
     assert "INFO topiary: problem: 3 points, kernel euclidean\n" in info.stderr
     assert "WARNING topiary: TOPIARY_LOG='bogus' not recognized; using warn\n" in bogus.stderr
     assert "INFO" not in bogus.stderr
+
+
+def test_debug_log_names_the_psd_gates_route(problem_file, tmp_path):
+    """TOPIARY_LOG=debug logs one gate line per Gram: a Fock Gram the
+    rounding bound proves gives the bound against the floor, and a
+    Euclidean Gram the lowest eigenvalue eigvalsh found."""
+    fock_file = tmp_path / "fock.json"
+    fm.write_problem(str(fock_file), krn.fock([0.5 + 0j, -0.2 + 0.1j, 0.3j]))
+    env = dict(os.environ, TOPIARY_LOG="debug")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    lines = {}
+    for name, path in (("fock", str(fock_file)), ("euclidean", problem_file)):
+        proc = subprocess.run([sys.executable, "-m", "topiary", "solve", "--input", path],
+                              capture_output=True, text=True, env=env, cwd=root)
+        assert proc.returncode == 0, proc.stderr
+        lines[name] = [line for line in proc.stderr.splitlines()
+                       if line.startswith("DEBUG topiary.kernel: psd gate: ")]
+    assert len(lines["fock"]) == len(lines["euclidean"]) == 1
+    assert " rounding bound " in lines["fock"][0] and "no eigvalsh" in lines["fock"][0]
+    assert " lowest eigenvalue " in lines["euclidean"][0]

@@ -36,6 +36,62 @@ def test_json_dumps_shape():
     assert fm.json_dumps({"x": 0.1}) == '{\n  "x": 0.10000000000000001\n}\n'
 
 
+def _render_per_item(value, indent):
+    """json_dumps's renderer as it was before flat float lists were joined
+    in one pass: one recursive call per item."""
+    if value is None or isinstance(value, (bool, str)):
+        return json.dumps(value)
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return fm.fmt(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        pad = " " * (indent + 2)
+        items = ("%s%s: %s" % (pad, json.dumps(str(k)), _render_per_item(v, indent + 2))
+                 for k, v in value.items())
+        return "{\n%s\n%s}" % (",\n".join(items), " " * indent)
+    items = [_render_per_item(v, indent + 2) for v in value]
+    if all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in value):
+        return "[%s]" % ", ".join(items)
+    pad = " " * (indent + 2)
+    return "[\n%s\n%s]" % (",\n".join(pad + it for it in items), " " * indent)
+
+
+def test_json_dumps_matches_the_per_item_renderer(zigzag, zigzag_psi):
+    """Flat float lists and 1-D float arrays render in one join; every
+    payload the writers build, and the edge cases of that path, come out
+    byte for byte as the per-item renderer wrote them."""
+    result = tp.solve(zigzag, zigzag_psi)
+    spec = tp.PortfolioSpec(labels=("a", "b", "c"), mean=np.array([0.1, 0.05, 0.02]),
+                            covariance=np.array([[0.04, 0.01, 0.0], [0.01, 0.02, 0.0],
+                                                 [0.0, 0.0, 0.01]]),
+                            risk_free_rate=0.02)
+    mask = np.zeros((1, 1), dtype=bool)
+    mask[0, 0] = True
+    maze = tp.solve_maze(tp.MazeSpec(mask=mask, cell_size=1.0, origin_offset=10 + 0j))
+    payloads = [
+        fm.problem_payload(zigzag, zigzag_psi),
+        fm.problem_payload(tp.fock([0.5 + 0j, -0.2 + 0.1j])),
+        fm.problem_payload(tp.hardy([0.5 + 0j, -0.2 + 0.1j])),
+        fm.problem_payload(tp.explicit_gram([[2.0, 1.0], [1.0, 2.0]])),
+        fm.result_payload(result, zigzag),
+        fm.measure_payload(result.measure),
+        fm.portfolio_spec_payload(spec),
+        fm.portfolio_payload(tp.optimize_portfolio(spec)),
+        fm.maze_payload(maze, tp.trace_path(maze)),
+        {"edge": [[], (), np.zeros(0), np.array([-0.0, 5e-324, 1e300, 0.1]),
+                  np.array([0.1, 2.5], dtype=np.float32), np.arange(3), np.eye(2),
+                  [np.float64(0.1), 0.2], [1, 2.0, None, "x", True], (0.5, -0.0)]},
+    ]
+    for payload in payloads:
+        assert fm.json_dumps(payload) == _render_per_item(payload, 0) + "\n"
+    for bad in ([0.5, float("nan")], np.array([np.inf, 1.0])):
+        with pytest.raises(tp.InvalidInput, match="non-finite"):
+            fm.json_dumps({"x": bad})
+
+
 def test_problem_round_trip_all_variants(tmp_path, zigzag):
     fock_kern = tp.fock([0.5 + 0j, -0.2 + 0.1j])
     variants = {

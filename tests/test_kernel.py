@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import topiary as tp
 from topiary import kernel as krn
@@ -122,6 +124,108 @@ def test_psd_floor_shared_by_kernels_and_portfolio_specs():
     near = _covariance_with_lowest_eigenvalue(-0.5e-13)
     tp.explicit_gram(near)
     tp.PortfolioSpec(labels=("a", "b"), mean=np.zeros(2), covariance=near)
+
+
+# -- the arithmetic PSD certificate of the Fock and Hardy Grams ----------------
+
+ENVELOPES = {"fock": lambda t: (1.0 + t) * np.exp(t), "hardy": lambda t: 1.0 / (1.0 - t) ** 2}
+
+
+def _disk_points(rng, n, radius):
+    """n points uniform in the disk of this radius, the first on its rim."""
+    r = radius * np.sqrt(rng.uniform(size=n))
+    r[0] = radius
+    return r * np.exp(1j * rng.uniform(-np.pi, np.pi, size=n))
+
+
+def _long_double_gram(Z, variant):
+    """The exact kernel matrix to about 1e-19 relative, from the same doubles."""
+    a, b = Z.real.astype(np.longdouble), Z.imag.astype(np.longdouble)
+    re = np.multiply.outer(a, a) + np.multiply.outer(b, b)
+    im = np.multiply.outer(b, a) - np.multiply.outer(a, b)
+    if variant == "fock":
+        return np.exp(re) * np.cos(im)
+    return (1.0 - re * re - im * im) / ((1.0 - re) ** 2 + im * im)  # Re (1+U)/(1-U)
+
+
+@pytest.mark.parametrize("variant, radius", [
+    ("fock", 1.15), ("fock", 3.0), ("fock", 10.0), ("fock", 26.45),
+    ("hardy", 0.5), ("hardy", 0.99), ("hardy", 0.9999),
+])
+def test_computed_entries_stay_within_a_quarter_of_the_assumed_error(variant, radius):
+    """The premise of fock_error and hardy_error, on this machine's libm:
+    every entry of the symmetrized Gram lies within ENTRY_ERROR times the
+    variant's envelope at t = |z||w| of a long-double reference, and the
+    worst entry uses at most a quarter of that."""
+    Z = _disk_points(np.random.default_rng(int(radius * 100)), 400, radius)
+    G = getattr(tp, variant)(list(Z)).gram
+    t = np.multiply.outer(np.abs(Z), np.abs(Z))
+    allowed = krn.ENTRY_ERROR * ENVELOPES[variant](t)
+    err = np.abs(G.astype(np.longdouble) - _long_double_gram(Z, variant))
+    assert float((err / allowed).max()) <= 0.25
+    # the error functions are n times the envelope at the largest radius,
+    # and so bound the largest row sum of |G - K|, hence ||G - K||_2
+    r = float(np.abs(Z).max())
+    assert krn.ERRORS[variant](np.array([r])) == pytest.approx(
+        krn.ENTRY_ERROR * ENVELOPES[variant](r * r), rel=1e-12)
+    assert float(err.sum(axis=1).max()) <= krn.ERRORS[variant](np.abs(Z))
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Shapes of the matrices kernel.py hands to np.linalg.eigvalsh."""
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(krn.np.linalg, "eigvalsh", spy)
+    return calls
+
+
+def test_psd_gate_reaches_eigvalsh_only_past_the_bound(eigvalsh_calls):
+    rng = np.random.default_rng(5)
+    fock_pts = _disk_points(rng, 700, 1.147)  # the maze's size and radius
+    tp.fock(list(fock_pts))
+    assert eigvalsh_calls == []
+
+    # |z| = 1 - 1e-7: n * ENTRY_ERROR exceeds PSD_TOL (1 + r^2)(1 - r^2)
+    near_rim = [(1.0 - 1e-7) * 1j, 0.5 + 0j]
+    k = tp.hardy(near_rim)
+    assert krn.hardy_error(np.abs(near_rim)) > krn.PSD_TOL * float(np.diag(k.gram).max())
+    assert eigvalsh_calls == [(2, 2)]
+    tp.hardy([0.5 + 0j, 0.3j])  # well inside the disk: proved
+    assert len(eigvalsh_calls) == 1
+
+    tp.explicit_gram([[2.0, 1.0], [1.0, 2.0]])
+    assert eigvalsh_calls[1:] == [(2, 2)]
+    tp.euclidean(ZIGZAG_COORDS)
+    assert eigvalsh_calls[2:] == [(3, 3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(variant=st.sampled_from(["fock", "hardy"]),
+       polar=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-np.pi, np.pi)),
+                      min_size=1, max_size=40),
+       radius=st.floats(0.0, 1.0))
+def test_a_gram_the_bound_admits_the_old_gate_admits(variant, polar, radius):
+    """Whenever the bound fits under the floor, eigvalsh finds lambda_min
+    >= -bound >= -PSD_TOL * max|diag|: the bound admits no Gram that the
+    eigenvalue test would refuse."""
+    top = np.sqrt(krn.FOCK_EXPONENT_GUARD) if variant == "fock" else 1.0
+    Z = np.array([radius * top * m * np.exp(1j * a) for m, a in polar])
+    Z = Z[np.abs(Z) < top]
+    assume(Z.size)
+    bound = krn.ERRORS[variant](np.abs(Z))
+    G = krn.PAIRINGS[variant](Z, Z)
+    floor = krn.PSD_TOL * (float(np.abs(np.diag(G)).max()) or 1.0)
+    assume(bound <= floor)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", tp.DuplicatePointsWarning)
+        assert np.array_equal(getattr(tp, variant)(list(Z)).gram, (G + G.T) / 2.0)
+    assert float(np.linalg.eigvalsh((G + G.T) / 2.0).min()) >= -bound
 
 
 def test_duplicate_groups_found_once_at_construction(monkeypatch):
