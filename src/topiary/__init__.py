@@ -18,7 +18,6 @@ from .errors import (
     BaseNotInIndex,
     ConvergenceError,
     CycleDetected,
-    DegenerateDirection,
     DomainError,
     DuplicatePointsWarning,
     EmptyMask,

@@ -102,15 +102,6 @@ class DomainError(NumericalError):
     """Point outside the kernel domain (Hardy |z| >= 1, Fock overflow guard)."""
 
 
-class DegenerateDirection(NumericalError):
-    """Greedy step has a positive margin but a zero-length step direction.
-
-    Means two candidates share an embedding while one strictly dominates in
-    psi, which deduplication should have removed; the Gram input is
-    inconsistent and is reported, not papered over.
-    """
-
-
 class NoProgress(NumericalError):
     """A solve found no way forward: an exchange cycle or a polish did not
     land within its cycle budget, or the oracle found no feasible
@@ -142,8 +133,8 @@ class MaxIterExceeded(ConvergenceError):
 
 
 class CycleDetected(ConvergenceError):
-    """Exchange revisited a (support, objective) pair; aborted to avoid a
-    ko fight."""
+    """A solve, under any algorithm, revisited a (support, objective) pair;
+    aborted rather than repeat the steps that led back to it."""
 
 
 class InvariantViolation(TopiaryError):

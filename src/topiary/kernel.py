@@ -171,8 +171,13 @@ class Kernel:
         self._gram = G
 
         keys = {}
-        # -0.0 + 0.0 is 0.0, so entries that round to either zero hash alike
-        for i, row in enumerate(np.round(G, 12) + 0.0):
+        # an entry too large to scale by 1e12 keeps its own value; -0.0 +
+        # 0.0 is 0.0, so entries that round to either zero hash alike
+        with np.errstate(over="ignore"):
+            Q = np.round(G, 12)
+        np.copyto(Q, G, where=np.isinf(Q))
+        Q += 0.0
+        for i, row in enumerate(Q):
             keys.setdefault(row.tobytes(), []).append(i)
         self._duplicates = [ids for ids in keys.values() if len(ids) > 1]
         if self._duplicates:

@@ -188,12 +188,11 @@ def step_gain(measure, psi, kern, x):
     x = kern._id(x)
     iota = float(table.margins[x])
     d2 = float(kern.gram[x, x]) - 2.0 * float(table.mu[x]) + table.norm_sq
-    if d2 <= ZERO_TOL:
-        # direction has no length; an actual step here is an error the
-        # solver raises, but for ranking purposes the gain is unbounded
-        return np.inf if iota > 0 else 0.0
-    t = min(1.0, max(0.0, iota / d2))
-    # closed form iota^2/(2 d2) only valid for interior t
+    if iota <= 0.0:
+        return 0.0
+    # t = 1 when d2 <= iota, a zero-length direction among them, as the
+    # solver's step; closed form iota^2/(2 d2) only valid for interior t
+    t = 1.0 if d2 <= iota else iota / d2
     return iota * t - d2 * t * t / 2.0
 
 

@@ -6,13 +6,13 @@ Three iterative solvers plus ground-truth utilities:
   step with exact line search, then Wolfe's support-side step: the
   exchange's move toward the hedge of the support, which drops each atom
   that empties on the way and never lowers the objective, so it is always
-  kept. Plain conditional gradient (`greedy_step`, with no polish) is
-  monotone but drags: atoms it should not have touched decay only
-  harmonically (the chronic zig-zag-drag).
+  kept. A direction as flat as a zero-length one is stepped to its end.
+  Plain conditional gradient (`greedy_step`, with no polish) is monotone
+  but drags: atoms it should not have touched decay only harmonically.
 * second-greedy: the same, with a prune pass between the line-search step
   and the polish that deletes atoms whose removal-plus-rescale raises the
-  objective. On 1000 Gaussian points in R^8 both certify in 21 iterations
-  on 9 atoms.
+  objective beyond round-off. On 1000 Gaussian points in R^8 both certify
+  in 21 iterations on 9 atoms.
 * exchange: Wolfe's minimum-norm-point method. A major cycle brings in the
   point of maximal margin and heads for the hedge of the support plus it;
   a minor cycle drops the first atom that empties on the way and heads for
@@ -26,13 +26,13 @@ subset-enumeration oracle used as independent ground truth in tests.
 
 A result only counts as converged when the full certificate holds
 (`MarginTable.certifies`): maximal margin at most margin_tol everywhere and
-support margins at least -margin_tol.
+support margins at least -margin_tol; a solve that comes back to a state
+raises CycleDetected.
 """
 
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional, Tuple
-import logging
 import warnings
 
 import numpy as np
@@ -44,7 +44,6 @@ from .objective import ZERO_TOL
 from .errors import (
     AccessibilityFailure,
     CycleDetected,
-    DegenerateDirection,
     InvalidInput,
     MaxIterExceeded,
     MonotonicityError,
@@ -55,8 +54,6 @@ from .errors import (
     integer,
     real,
 )
-
-log = logging.getLogger("topiary.solver")
 
 ORACLE_CAP = 12
 DECONSTRUCT_CAP = 16
@@ -71,9 +68,6 @@ SINGULARITY_RTOL = 1e-10
 # dust: a finished measure and every exchange cycle, the polish's included,
 # drop atoms this light
 WEIGHT_TOL = 1e-10
-
-_DRIFT_EVERY = 256
-_DRIFT_TOL = 1e-9
 
 
 @dataclass
@@ -173,18 +167,21 @@ def representatives(kern, psi_values, candidates=None):
     return [c for c in cand if c not in drop]
 
 
+def _round_off(objective):
+    """The change of an objective this large that round-off can make."""
+    return 1e-12 * max(1.0, abs(objective))
+
+
 class SolverState:
     """Single-owner working state advanced by greedy_step / prune / exchange.
 
     The state is the weight vector w over the ground set and `table`, the
     `objective.MarginTable` of w: its embedded values mu = G w, lin = psi . w,
     ||mu||^2 = w' G w, and from them the rate, objective, margins, score and
-    argmax over the candidates. Every move of w builds one new table through
-    `MarginTable.tabulate`, the function `margin_table` also uses: the
-    greedy step from its O(n) update of (mu, lin, ||mu||^2), cross-checked
-    against a full recomputation every 256 steps; exchange, polish and prune
-    from a full recomputation (`_refresh_caches`). The certificate
-    (`converged`) and the monotonicity check read the table.
+    argmax over the candidates. Every move of w, by the greedy step, prune,
+    polish or exchange, builds one new table from w (`_refresh_caches`)
+    through `MarginTable.tabulate`, the function `margin_table` also uses.
+    The certificate (`converged`) and the monotonicity check read the table.
 
     For the exchange and the polish the state also keeps one lower Cholesky
     factor of H = G_S + sigma 11', sigma = max(1, max diag G), over the ids
@@ -226,7 +223,6 @@ class SolverState:
         self._refresh_caches()
         self.iterations = 0
         self.trace = [] if self.config.trace else None
-        self._since_check = 0
         self._sigma = max(1.0, float(np.max(np.diag(self.G))))
         self._factor_ids = np.zeros(0, dtype=int)
         self._factor = np.zeros((0, 0), order="F")
@@ -242,30 +238,13 @@ class SolverState:
                         return rep
         raise InvalidInput("seed point %d is not a candidate" % point_id)
 
-    def _tabulate(self, mu, lin, nsq):
-        self.table = obj.MarginTable.tabulate(
-            self.psi_values, mu, lin, nsq, self.candidates, self.G
-        )
-
     def _refresh_caches(self):
         sup = np.flatnonzero(self.w)
         mu = self.w[sup] @ self.G[sup]  # rows: G is exactly symmetric
-        self._tabulate(mu, float(self.psi_values[sup] @ self.w[sup]), float(self.w[sup] @ mu[sup]))
-
-    def _drift_guard(self):
-        self._since_check += 1
-        if self._since_check < _DRIFT_EVERY:
-            return
-        self._since_check = 0
-        old = self.table
-        self._refresh_caches()
-        drift = max(
-            float(np.max(np.abs(old.mu - self.table.mu), initial=0.0)),
-            abs(old.lin - self.table.lin),
-            abs(old.norm_sq - self.table.norm_sq),
+        self.table = obj.MarginTable.tabulate(
+            self.psi_values, mu, float(self.psi_values[sup] @ self.w[sup]),
+            float(self.w[sup] @ mu[sup]), self.candidates, self.G
         )
-        if drift > _DRIFT_TOL:
-            log.warning("incremental caches drifted by %g; recomputed", drift)
 
     def hedges(self, x=None):
         """(V, c) on the factor's ids F in ascending order, one column per
@@ -360,7 +339,7 @@ class SolverState:
     def _check_monotone(self, before, where):
         """Raise when the objective fell from before beyond round-off."""
         after = self.table.objective
-        if after < before - 1e-12 * max(1.0, abs(before)):
+        if after < before - _round_off(before):
             raise MonotonicityError(
                 "%s decreased the objective from %.17g to %.17g" % (where, before, after)
             )
@@ -382,26 +361,16 @@ def greedy_step(state):
 
 def _step_greedy(state, s, x):
     """The exact line-search step toward the argmax x, given its score
-    s > margin_tol."""
+    s > margin_tol: along delta_x - mu the objective is s t - d2 t^2 / 2, so
+    t = 1 when d2 <= s, a zero-length direction among them."""
     tab = state.table
     d2 = float(state.G[x, x] - 2.0 * tab.mu[x] + tab.norm_sq)
-    if d2 <= ZERO_TOL:
-        raise DegenerateDirection(
-            "candidate %d has margin %.3g but zero step length; Gram rows "
-            "are inconsistent" % (x, s)
-        )
-    t = min(1.0, max(0.0, s / d2))
-    state._tabulate(
-        (1 - t) * tab.mu + t * state.G[:, x],
-        (1 - t) * tab.lin + t * float(state.psi_values[x]),
-        (1 - t) ** 2 * tab.norm_sq + 2 * t * (1 - t) * float(tab.mu[x])
-        + t * t * float(state.G[x, x]),
-    )
+    t = 1.0 if d2 <= s else s / d2
     state.w *= 1 - t
     state.w[x] += t
+    state._refresh_caches()
     state.iterations += 1
     state._check_monotone(tab.objective, "greedy step")
-    state._drift_guard()
     state._record(x, ())
 
 
@@ -409,8 +378,9 @@ def prune(state):
     """Delete disadvantageous atoms one at a time.
 
     An atom is disadvantageous when removing it and rescaling the rest
-    strictly raises the objective; the largest improvement goes first, ties
-    to the lowest id. No-op when every removal hurts.
+    raises the objective beyond round-off; a round-off gain would drop the
+    atom the step just added, step after step. The largest improvement goes
+    first, ties to the lowest id. No-op when no removal pays.
     """
     dropped = []
     while True:
@@ -430,7 +400,7 @@ def prune(state):
         ) / (1 - wv) ** 2
         gains = (lin_r - nsq_r / 2.0) - tab.objective
         best = float(gains.max())
-        if best <= 0.0:
+        if best <= _round_off(tab.objective):
             break
         i = int(ids[int(np.argmax(gains == best))])
         state.w[i] = 0.0
@@ -722,14 +692,12 @@ def solve(kern, psi, config=None, candidates=None):
                 % (cfg.algorithm, cfg.max_iter, partial.score),
                 result=partial,
             )
-        if cfg.algorithm == "exchange":
-            # greedy ascent cannot come back to a state; an exchange can
-            key = (frozenset(state.support().tolist()), _round_sig(state.table.objective))
-            if key in seen:
-                raise CycleDetected(
-                    "exchange revisited a support/objective pair", result=_finish(state)
-                )
-            seen.add(key)
+        key = (frozenset(state.support().tolist()), _round_sig(state.table.objective))
+        if key in seen:
+            raise CycleDetected(
+                "%s revisited a support/objective pair" % cfg.algorithm, result=_finish(state)
+            )
+        seen.add(key)
         step(state, state.table.score, state.table.argmax)
     return _finish(state)
 

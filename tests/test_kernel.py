@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import topiary as tp
 from topiary import kernel as krn
 
-from conftest import ZIGZAG_COORDS, ZIGZAG_GRAM
+from conftest import ZIGZAG_COORDS, ZIGZAG_GRAM, numpy_margins
 
 
 def test_euclidean_zigzag_gram(zigzag):
@@ -268,6 +268,21 @@ def test_duplicate_rows_differing_in_the_sign_of_a_rounded_zero():
     with pytest.warns(tp.DuplicatePointsWarning):
         k = tp.euclidean([(1.0, 1e-13), (1.0, -1e-13), (0.0, 1.0)])
     assert k.duplicate_groups() == [[0, 1]]
+
+
+@pytest.mark.parametrize("algorithm", ["greedy", "second-greedy"])
+def test_duplicate_detection_does_not_overflow(algorithm):
+    """Fock points at radius 26.4 have Gram entries near 1e302, which
+    rounding to 12 decimals would scale past the float range: two distinct
+    points there are no group, and the solve certifies over both."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k = tp.fock([26.4, 26.4 * np.exp(0.1j)])
+        r = tp.solve(k, None, tp.SolveConfig(algorithm=algorithm))
+    assert k.duplicate_groups() == []
+    assert list(r.support()) == [0, 1]
+    top, floor = numpy_margins(k.gram, np.zeros(2), r.measure)
+    assert top <= r.margin_tol and floor >= -r.margin_tol
 
 
 def test_no_warning_without_duplicates(zigzag):
