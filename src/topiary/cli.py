@@ -275,7 +275,8 @@ def _cmd_portfolio(args):
     _check_paths([args.returns, args.spec, args.reference], [args.output])
     if args.returns:
         table = fm.read_returns(args.returns)
-        mean, cov = pf.ingest_returns(table, annualize_factor=args.annualize)
+        with fm._named(args.returns):
+            mean, cov = pf.ingest_returns(table, annualize_factor=args.annualize)
         spec = pf.PortfolioSpec(labels=table.labels, mean=mean, covariance=cov,
                                 annualize_factor=args.annualize)
     else:

@@ -11,7 +11,10 @@ tolerance, PSD_TOL: its lowest eigenvalue must be at least -PSD_TOL times
 its largest absolute diagonal entry. No silent jitter and no diagonal
 loading: a matrix that fails the gate is refused with the offending
 eigenvalue. A Kernel owns its finite ground set; its Gram and its duplicate
-groups are computed once.
+groups are computed once. The gate runs when a Kernel is built and nowhere
+else: a portfolio covariance meets it once, when `optimize_portfolio` or
+`reduce_adaptive` builds its kernel, and a `PortfolioSpec` checks only the
+gate's first half, `checked_symmetric`.
 
 The Fock and Hardy Grams are proved by arithmetic, not by an
 eigendecomposition. In exact arithmetic each is PSD (the real part of a PSD
@@ -114,21 +117,27 @@ def hardy_error(radii):
 ERRORS = {"fock": fock_error, "hardy": hardy_error}
 
 
-def checked_gram(matrix, error=None):
-    """The symmetrized matrix, once its entries are finite and
-    max|G - G'| <= 1e-12 * max(1, max|G|) (else InvalidInput) and its lowest
-    eigenvalue is at least -PSD_TOL * max|diag|, the scale being 1 for a
-    zero diagonal (else NonPSD carrying that eigenvalue).
-
-    `error`, when given, bounds ||G - K||_2 for a PSD matrix K; when it is
-    at most the floor PSD_TOL * max|diag|, lambda_min(G) >= -error already
-    meets the floor and no eigendecomposition is made."""
+def checked_symmetric(matrix):
+    """The matrix as a float array, once its entries are finite and
+    max|G - G'| <= 1e-12 * max(1, max|G|) (else InvalidInput)."""
     G = np.asarray(matrix, dtype=float)
     if not np.isfinite(G).all():
         raise InvalidInput("gram matrix has non-finite entries")
     skew = float(np.max(np.abs(G - G.T), initial=0.0))
     if skew > 1e-12 * max(1.0, float(np.max(np.abs(G), initial=0.0))):
         raise InvalidInput("gram matrix is not symmetric (skew %.3g)" % skew)
+    return G
+
+
+def checked_gram(matrix, error=None):
+    """The symmetrized matrix, once it passes `checked_symmetric` and its
+    lowest eigenvalue is at least -PSD_TOL * max|diag|, the scale being 1
+    for a zero diagonal (else NonPSD carrying that eigenvalue).
+
+    `error`, when given, bounds ||G - K||_2 for a PSD matrix K; when it is
+    at most the floor PSD_TOL * max|diag|, lambda_min(G) >= -error already
+    meets the floor and no eigendecomposition is made."""
+    G = checked_symmetric(matrix)
     G = (G + G.T) / 2.0
     diag_scale = float(np.max(np.abs(np.diag(G)), initial=0.0)) or 1.0
     floor = PSD_TOL * diag_scale

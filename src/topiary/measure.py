@@ -82,15 +82,23 @@ def delta(point_id):
     return AtomicMeasure(((point_id, 1.0),), PROBABILITY)
 
 
-def probability(ids, weights, weight_tol=0.0):
+def _parallel(ids, weights):
+    """ids and weights as arrays of one length (else InvalidInput)."""
+    ids, w = np.asarray(ids), reals(weights, "weights")
+    if ids.shape != w.shape:
+        raise InvalidInput("got %d ids for %d weights" % (ids.size, w.size))
+    return ids, w
+
+
+def probability(ids, weights):
     """Probability measure from parallel arrays; clamps round-off negatives
-    and renormalizes. Atoms at or below weight_tol are dropped."""
-    ids = np.asarray(ids)
-    w = reals(weights, "weights")
+    and renormalizes. Atoms whose weight is zero after the clamp are
+    dropped."""
+    ids, w = _parallel(ids, weights)
     if w.min(initial=0.0) < -1e-9:
         raise InvalidInput("weight %g too negative for a probability measure" % w.min())
     w = np.maximum(w, 0.0)
-    keep = w > weight_tol
+    keep = w > 0.0
     if not keep.any():
         raise InvalidInput("all weights vanished; cannot normalize")
     w = w[keep]
@@ -101,10 +109,9 @@ def probability(ids, weights, weight_tol=0.0):
 
 
 def signed(ids, weights):
+    ids, w = _parallel(ids, weights)
     order = np.argsort(ids)
-    ids = np.asarray(ids)[order]
-    w = np.asarray(weights)[order]
-    return AtomicMeasure(tuple(zip(ids.tolist(), w.tolist())), SIGNED)
+    return AtomicMeasure(tuple(zip(ids[order].tolist(), w[order].tolist())), SIGNED)
 
 
 # -- kernel-dependent arithmetic -------------------------------------------

@@ -36,30 +36,29 @@ class PsiSpec:
     checkable.
     """
 
-    def __init__(self, values, form="table", norm=None):
+    def __init__(self, values, norm=None):
         self.values = reals(values, "psi")
-        self.form = form
         self.norm = None if norm is None else real(norm, "psi norm")
 
     @staticmethod
     def table(values):
-        return PsiSpec(values, "table")
+        return PsiSpec(values)
 
     @staticmethod
     def zero(kern):
-        return PsiSpec(np.zeros(kern.n), "zero", norm=0.0)
+        return PsiSpec(np.zeros(kern.n), norm=0.0)
 
     @staticmethod
     def embedded(reference, kern):
         """psi(x) = nu(x) for a measure nu; ||psi|| = ||nu|| is known."""
         table = margin_table(reference, None, kern)
-        return PsiSpec(table.mu, "embedded", norm=np.sqrt(table.norm_sq))
+        return PsiSpec(table.mu, norm=np.sqrt(table.norm_sq))
 
     @staticmethod
     def point_kernel(alpha, kern):
         """psi(x) = k(alpha, x); the ||mu - delta_alpha|| objective."""
         vals = kern.row(alpha)
-        return PsiSpec(vals, "point-kernel", norm=np.sqrt(max(0.0, kern.eval(alpha, alpha))))
+        return PsiSpec(vals, norm=np.sqrt(max(0.0, kern.eval(alpha, alpha))))
 
     def __len__(self):
         return len(self.values)

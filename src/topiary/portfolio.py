@@ -27,7 +27,7 @@ from .errors import (
     real,
     reals,
 )
-from .kernel import checked_gram, explicit_gram
+from .kernel import checked_symmetric, explicit_gram
 from .solver import solve
 
 RISK_FREE_LABEL = "risk-free"
@@ -45,6 +45,11 @@ class ReturnsTable:
 
 @dataclass(frozen=True)
 class PortfolioSpec:
+    """Assets, their moments and the beliefs applied to them. The covariance
+    is checked here for shape, finite entries and symmetry; the PSD gate
+    runs once, when `optimize_portfolio` or `reduce_adaptive` builds its
+    kernel, so derived specs (`replace`, the cash row) decompose nothing."""
+
     labels: Tuple[str, ...]
     mean: np.ndarray
     covariance: np.ndarray
@@ -80,7 +85,7 @@ class PortfolioSpec:
             raise InvalidInput("var_inflate must be nonnegative")
         if self.rf_index is not None and not (0 <= self.rf_index < n):
             raise InvalidInput("rf_index %s outside the asset list" % (self.rf_index,))
-        checked_gram(self.covariance)
+        checked_symmetric(self.covariance)
 
     @property
     def n(self):
@@ -284,9 +289,9 @@ def apply_risk_belief(spec):
 
     mean' = r + (1-s)(mean - r), covariance' = covariance + lambda *
     diag(covariance); adding a nonnegative diagonal keeps the matrix PSD, and
-    the corrected spec passes the Gram gate again on construction. A moment
-    whose correction is zero is kept as given, bit for bit, and with both
-    corrections zero the spec itself comes back.
+    the corrected covariance meets the Gram gate once, when its kernel is
+    built. A moment whose correction is zero is kept as given, bit for bit,
+    and with both corrections zero the spec itself comes back.
     Returns (corrected spec, flagged asset ids): an asset is flagged when its
     corrected excess return still matches or exceeds its corrected variance,
     the incentive to go all in. The risk-free asset itself is exempt.

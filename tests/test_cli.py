@@ -189,6 +189,8 @@ _MALFORMED = {
     "spec reference": ("--spec", dict(_SPEC, reference=[{"weight": 1.0}]), []),
     "spec labels number": ("--spec", dict(_SPEC, labels=5), []),
     "spec labels string": ("--spec", dict(_SPEC, labels="ab"), []),
+    "spec covariance asymmetric": ("--spec", dict(_SPEC, covariance=[[0.04, 0.01], [0.0, 0.09]]),
+                                   []),
     "kernel labels number": ("--input", _problem(dict(_GRAM2, labels=5)), []),
     "kernel labels string": ("--input", _problem(dict(_GRAM2, labels="ab")), []),
     "weights without point": ("--solution", {"weights": [{"weight": 1.0}]}, []),
@@ -206,7 +208,11 @@ _MALFORMED = {
     "returns covariance overflow": ("--returns", "a,b\n0.1,1e200\n0.2,-1e200\n", []),
     "returns annualized mean overflow": ("--returns", "a\n1e307\n1e307\n",
                                          ["--annualize", "252"]),
+    "returns cell not a number": ("--returns", "a,b\n0.1,x\n0.2,0.3\n", []),
 }
+
+# refusals that depend on the problem file or on --base name no one file
+_UNNAMED = {"atom point past the end", "base not an id", "base past the end"}
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
@@ -226,7 +232,7 @@ def test_malformed_input_is_exit_2(case, tmp_path, capsys):
     rc = cli.run(argv + extra)
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith("error:")
+    assert err.startswith("error: %s: " % path if case not in _UNNAMED else "error:")
     assert "Traceback" not in err
 
 

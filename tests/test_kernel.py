@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import topiary as tp
+from topiary import cli
 from topiary import kernel as krn
 
 from conftest import ZIGZAG_COORDS, ZIGZAG_GRAM, numpy_margins
@@ -114,16 +116,18 @@ def _covariance_with_lowest_eigenvalue(lam, top=1e-4, other=1e-6):
 
 def test_psd_floor_shared_by_kernels_and_portfolio_specs():
     # floor -PSD_TOL * max|diag| = -1e-9 * 1e-4; a floor of -PSD_TOL *
-    # max(max diag, 1) would let -1e-11 through the spec
+    # max(max diag, 1) would let -1e-11 through the portfolio
     bad = _covariance_with_lowest_eigenvalue(-1e-11)
     with pytest.raises(tp.NonPSD) as exc:
         tp.explicit_gram(bad)
     assert exc.value.eigenvalue == pytest.approx(-1e-11, rel=1e-3)
-    with pytest.raises(tp.NonPSD):
-        tp.PortfolioSpec(labels=("a", "b"), mean=np.zeros(2), covariance=bad)
+    spec = tp.PortfolioSpec(labels=("a", "b"), mean=np.zeros(2), covariance=bad)
+    with pytest.raises(tp.NonPSD) as exc:
+        tp.optimize_portfolio(spec)
+    assert exc.value.eigenvalue == pytest.approx(-1e-11, rel=1e-3)
     near = _covariance_with_lowest_eigenvalue(-0.5e-13)
     tp.explicit_gram(near)
-    tp.PortfolioSpec(labels=("a", "b"), mean=np.zeros(2), covariance=near)
+    tp.optimize_portfolio(tp.PortfolioSpec(labels=("a", "b"), mean=np.zeros(2), covariance=near))
 
 
 # -- the arithmetic PSD certificate of the Fock and Hardy Grams ----------------
@@ -203,6 +207,51 @@ def test_psd_gate_reaches_eigvalsh_only_past_the_bound(eigvalsh_calls):
     assert eigvalsh_calls[1:] == [(2, 2)]
     tp.euclidean(ZIGZAG_COORDS)
     assert eigvalsh_calls[2:] == [(3, 3)]
+
+
+_RETURNS = "a,b,c\n0.01,0.02,-0.01\n0.03,-0.01,0.0\n-0.02,0.01,0.02\n0.0,0.02,0.01\n"
+_SPEC = {"format_version": 1, "labels": ["a", "b"], "mean": [0.1, 0.2],
+         "covariance": [[0.04, 0.01], [0.01, 0.09]]}
+
+
+def _run_portfolio(source, payload, flags, tmp_path, capsys):
+    path = tmp_path / "input"
+    path.write_text(payload if source == "--returns" else json.dumps(payload))
+    rc = cli.run(["portfolio", source, str(path)] + flags)
+    return rc, path, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source,flags,n", [
+    ("--returns", [], 3),
+    ("--returns", ["--risk-free", "0.001"], 4),
+    ("--returns", ["--risk-free", "0.001", "--mean-shrink", "0.5", "--var-inflate", "0.1"], 4),
+    ("--spec", [], 2),
+    ("--spec", ["--risk-free", "0.01"], 3),
+], ids=["returns", "returns-risk-free", "returns-all-flags", "spec", "spec-risk-free"])
+def test_a_portfolio_job_decomposes_its_covariance_once(source, flags, n, eigvalsh_calls,
+                                                        tmp_path, capsys):
+    """Only the kernel's gate decomposes: the spec, its `replace`s and the
+    cash row check symmetry alone, and the one call is on the n x n matrix
+    the kernel is built from (n counts the cash asset)."""
+    payload = _RETURNS if source == "--returns" else _SPEC
+    rc, _, _ = _run_portfolio(source, payload, flags, tmp_path, capsys)
+    assert rc == 0
+    assert eigvalsh_calls == [(n, n)]
+
+
+def test_a_spec_is_refused_where_it_enters_and_gated_once(eigvalsh_calls, tmp_path, capsys):
+    skewed = dict(_SPEC, covariance=[[0.04, 0.01], [0.0, 0.09]])
+    rc, path, err = _run_portfolio("--spec", skewed, [], tmp_path, capsys)
+    assert (rc, err) == (2, "error: %s: gram matrix is not symmetric (skew 0.01)\n" % path)
+    assert eigvalsh_calls == []
+    with pytest.raises(tp.InvalidInput, match="not symmetric"):
+        tp.PortfolioSpec(labels=("a", "b"), mean=np.zeros(2), covariance=skewed["covariance"])
+
+    indefinite = dict(_SPEC, covariance=[[1.0, 2.0], [2.0, 1.0]])
+    rc, _, err = _run_portfolio("--spec", indefinite, [], tmp_path, capsys)
+    assert rc == 3
+    assert "eigenvalue -1 < -1e-09 * 1" in err
+    assert eigvalsh_calls == [(2, 2)]
 
 
 @settings(max_examples=60, deadline=None)

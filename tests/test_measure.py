@@ -184,6 +184,14 @@ def test_probability_constructor_clamps_roundoff():
         tp.probability([0, 1], [1.0, -1e-6])
 
 
+def test_parallel_arrays_must_have_one_length():
+    with pytest.raises(tp.InvalidInput, match="got 3 ids for 2 weights"):
+        tp.probability([0, 1, 2], [0.5, 0.5])
+    with pytest.raises(tp.InvalidInput, match="got 2 ids for 3 weights"):
+        tp.signed([0, 1], [0.1, 0.2, 0.3])
+    assert tp.probability([0, 1, 2], [0.5, 0.0, 0.5]).atoms == ((0, 0.5), (2, 0.5))
+
+
 def test_embedded_distance_matches_kernel_metric(zigzag):
     d = tp.embedded_distance(tp.delta(1), tp.delta(2), zigzag)
     assert d == pytest.approx(zigzag.embed_distance(1, 2), abs=1e-14)
