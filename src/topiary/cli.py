@@ -7,6 +7,12 @@ iterations, 5 broken invariant (always a bug). Machine-readable JSON goes
 to files, or to standard output under --json, never mixed into the summary
 stream. TOPIARY_LOG={error,warn,info,debug} turns on diagnostics on
 standard error.
+
+Output is one decision, made in `run`: a subcommand reads and computes,
+then returns its summary, its payload and the text of each file asked for;
+only then does `run` write the files and print. A refused run, whatever
+its exit code, leaves none of its outputs. An output path that names a
+directory is refused before any work, like a missing input.
 """
 
 import argparse
@@ -22,7 +28,7 @@ from . import maze as mz
 from . import objective as obj
 from . import portfolio as pf
 from . import solver as slv
-from .errors import InvalidInput, TopiaryError, exit_code_for
+from .errors import EmptyMask, InvalidInput, TopiaryError, exit_code_for
 
 log = logging.getLogger("topiary")
 
@@ -125,36 +131,40 @@ def build_parser():
 # -- shared plumbing ---------------------------------------------------------
 
 def _check_paths(inputs, outputs):
-    """Fail fast on missing inputs or unwritable output directories."""
+    """Fail fast on missing inputs, output paths that name a directory, and
+    unwritable output directories."""
     for path in inputs:
         if path is not None and not os.path.isfile(path):
             raise InvalidInput("input file %s does not exist" % path)
     for path in outputs:
         if path is None:
             continue
+        if os.path.isdir(path):
+            raise InvalidInput("%s: output path is a directory" % path)
         parent = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(parent):
             raise InvalidInput("output directory %s does not exist" % parent)
 
 
-def _emit(args, summary, payload):
-    """Summary to stdout, or under --json: payload stdout, summary stderr."""
-    if getattr(args, "json", False):
-        sys.stdout.write(fm.json_dumps(payload))
-        sys.stderr.write(summary + "\n")
-    else:
+def _asked(*outputs):
+    """(path, text) for each (path, render) whose path was given; render()
+    makes the text, so an output no one asked for costs nothing."""
+    return [(path, render()) for path, render in outputs if path]
+
+
+def _emit(summary, shown):
+    """Summary to stdout, or, with the --json payload shown: payload stdout,
+    summary stderr."""
+    if shown is None:
         sys.stdout.write(summary + "\n")
+    else:
+        sys.stdout.write(shown)
+        sys.stderr.write(summary + "\n")
 
 
 def _summary(tag, objective, rate, score, support_size, extra=""):
-    line = "%s: objective %.12g rate %.12g score %.3g support %d" % (
-        tag,
-        objective,
-        rate,
-        score,
-        support_size,
-    )
-    return line + extra
+    return "%s: objective %.12g rate %.12g score %.3g support %d%s" % (
+        tag, objective, rate, score, support_size, extra)
 
 
 def _solve_config(args):
@@ -168,6 +178,9 @@ def _solve_config(args):
 
 
 # -- subcommands --------------------------------------------------------------
+#
+# Each reads and computes, then returns (summary, payload, files): files
+# lists (path, text) for the outputs that were asked for. `run` writes them.
 
 def _cmd_solve(args):
     _check_paths([args.input], [args.output, args.trace])
@@ -175,32 +188,21 @@ def _cmd_solve(args):
     log.info("problem: %d points, kernel %s", kern.n, kern.variant)
     result = slv.solve(kern, psi, _solve_config(args))
     log.info("converged in %d iterations", result.iterations)
-    if args.trace:
-        fm.write_trace(args.trace, result.trace)
-    if args.output:
-        fm.write_result(args.output, result, kern)
-    _emit(
-        args,
-        _summary("solve", result.objective, result.rate, result.score,
-                 len(result.support())),
-        fm.result_payload(result, kern),
-    )
-    return 0
+    payload = fm.result_payload(result, kern)
+    files = _asked((args.trace, lambda: fm.trace_csv(result.trace)),
+                   (args.output, lambda: fm.json_dumps(payload)))
+    return _summary("solve", result.objective, result.rate, result.score,
+                    len(result.support())), payload, files
 
 
 def _cmd_oracle(args):
     _check_paths([args.input], [args.output])
     kern, psi = fm.read_problem(args.input)
     result = slv.oracle_solve(kern, psi, config=slv.SolveConfig(margin_tol=args.tol))
-    if args.output:
-        fm.write_result(args.output, result, kern)
-    _emit(
-        args,
-        _summary("oracle", result.objective, result.rate, result.score,
-                 len(result.support())),
-        fm.result_payload(result, kern),
-    )
-    return 0
+    payload = fm.result_payload(result, kern)
+    files = _asked((args.output, lambda: fm.json_dumps(payload)))
+    return _summary("oracle", result.objective, result.rate, result.score,
+                    len(result.support())), payload, files
 
 
 def _cmd_deconstruct(args):
@@ -208,8 +210,6 @@ def _cmd_deconstruct(args):
     kern, psi = fm.read_problem(args.input)
     cfg = _solve_config(args)
     result = slv.solve(kern, psi, cfg)
-    if args.trace:
-        fm.write_trace(args.trace, result.trace)
     ordering = slv.construction_ordering(kern, psi, result.index, cfg)
     payload = {
         "format_version": fm.FORMAT_VERSION,
@@ -220,16 +220,20 @@ def _cmd_deconstruct(args):
         "score": result.score,
         "algorithm": result.algorithm,
     }
-    if args.output:
-        fm.write_json(args.output, payload)
     extra = " ordering %s" % ",".join(str(i) for i in ordering)
-    _emit(
-        args,
-        _summary("deconstruct", result.objective, result.rate, result.score,
-                 len(result.support()), extra),
-        payload,
-    )
-    return 0
+    files = _asked((args.trace, lambda: fm.trace_csv(result.trace)),
+                   (args.output, lambda: fm.json_dumps(payload)))
+    return _summary("deconstruct", result.objective, result.rate, result.score,
+                    len(result.support()), extra), payload, files
+
+
+def _parse_base(raw):
+    if not raw:
+        return None
+    try:
+        return [int(tok) for tok in raw.split(",") if tok.strip()]
+    except ValueError:
+        raise InvalidInput("--base must list point ids, got %r" % raw) from None
 
 
 def _cmd_diagnose(args):
@@ -237,23 +241,13 @@ def _cmd_diagnose(args):
     kern, psi = fm.read_problem(args.input)
     measure = fm.read_measure(args.solution)
     table = obj.margin_table(measure, psi, kern)
-    if args.capm:
-        fm.atomic_write_text(
-            args.capm, fm.capm_csv(dgn.capm_report(measure, kern, psi))
-        )
-    if args.jc:
-        base = None
-        if args.base:
-            try:
-                base = [int(tok) for tok in args.base.split(",") if tok.strip()]
-            except ValueError:
-                raise InvalidInput("--base must list point ids, got %r" % args.base) from None
-        fm.atomic_write_text(
-            args.jc, fm.jc_csv(dgn.jc_report(measure, kern, psi, base_points=base))
-        )
     sml = dgn.sml_points(measure, kern, psi)
-    if args.sml:
-        fm.atomic_write_text(args.sml, fm.sml_csv(sml))
+    files = _asked(
+        (args.capm, lambda: fm.capm_csv(dgn.capm_report(measure, kern, psi))),
+        (args.jc, lambda: fm.jc_csv(
+            dgn.jc_report(measure, kern, psi, base_points=_parse_base(args.base)))),
+        (args.sml, lambda: fm.sml_csv(sml)),
+    )
     payload = {
         "format_version": fm.FORMAT_VERSION,
         "objective": table.objective,
@@ -262,17 +256,16 @@ def _cmd_diagnose(args):
         "support_size": len(measure.support()),
         "mu_norm": sml.mu_norm,
     }
-    _emit(
-        args,
-        _summary("diagnose", table.objective, table.rate, table.score,
-                 len(measure.support())),
-        payload,
-    )
-    return 0
+    return _summary("diagnose", table.objective, table.rate, table.score,
+                    len(measure.support())), payload, files
 
 
 def _cmd_portfolio(args):
-    _check_paths([args.returns, args.spec, args.reference], [args.output])
+    outputs = []
+    if args.output:
+        outdir = os.path.dirname(os.path.abspath(args.output))
+        outputs = [args.output] + [os.path.join(outdir, name) for name in ("capm.csv", "sml.csv")]
+    _check_paths([args.returns, args.spec, args.reference], outputs)
     if args.returns:
         table = fm.read_returns(args.returns)
         with fm._named(args.returns):
@@ -294,20 +287,15 @@ def _cmd_portfolio(args):
         spec = replace(spec, **overrides)
     log.info("portfolio: %d assets, risk-free %s", spec.n, spec.risk_free_rate)
     report = pf.optimize_portfolio(spec)
-    if args.output:
-        fm.write_portfolio(args.output, report)
-        outdir = os.path.dirname(os.path.abspath(args.output))
-        fm.atomic_write_text(os.path.join(outdir, "capm.csv"), fm.capm_csv(report.capm))
-        fm.atomic_write_text(os.path.join(outdir, "sml.csv"), fm.sml_csv(report.sml))
+    payload = fm.portfolio_payload(report)
+    files = []
+    if outputs:
+        texts = (fm.json_dumps(payload), fm.capm_csv(report.capm), fm.sml_csv(report.sml))
+        files = list(zip(outputs, texts))
     top = report.weights[0]
     extra = " top %s %.4f" % (top[0] if top[0] is not None else top[1], top[2])
-    _emit(
-        args,
-        _summary("portfolio", report.result.objective, report.rate,
-                 report.result.score, len(report.weights), extra),
-        fm.portfolio_payload(report),
-    )
-    return 0
+    return _summary("portfolio", report.result.objective, report.rate, report.result.score,
+                    len(report.weights), extra), payload, files
 
 
 def _parse_target(raw):
@@ -329,39 +317,27 @@ def _cmd_maze(args):
             escape = float(escape)
         except ValueError:
             raise InvalidInput("escape radius must be a number or 'auto', got %r" % escape)
-    spec = mz.MazeSpec(
-        mask=mask,
-        cell_size=args.cell_size,
-        target=None if args.target is None else _parse_target(args.target),
-        escape_radius=escape,
-    )
+    target = None if args.target is None else _parse_target(args.target)
+    with fm._named(args.mask, EmptyMask):
+        spec = mz.MazeSpec(mask=mask, cell_size=args.cell_size, target=target,
+                           escape_radius=escape)
     mres = mz.solve_maze(spec)
     res = mres.result
     log.info("maze: %d cells, trichotomy %s, support %d",
              len(mres.points), mres.trichotomy, len(res.support()))
-    # compute everything before writing anything, so a refused flag leaves no output
-    rasters = []
+    files = []
     if args.field or args.conjugate:
         drawn = mz.fields(mres, resolution=args.field_res)
-        rasters = [(path, f.raster) for path, f in zip((args.field, args.conjugate), drawn)
-                   if path]
+        files = [(path, fm.pgm_text(f.raster))
+                 for path, f in zip((args.field, args.conjugate), drawn) if path]
     trace = None
+    extra = " trichotomy %s" % mres.trichotomy
     if args.path:
         trace = mz.trace_path(mres, step_size=args.step, max_steps=args.max_steps)
-    for path, raster in rasters:
-        fm.write_pgm(path, raster)
-    if trace is not None:
-        fm.write_path(args.path, trace)
-    extra = " trichotomy %s" % mres.trichotomy
-    if trace is not None:
+        files.append((args.path, fm.path_csv(trace)))
         extra += " path %s clearance %.4g" % (trace.status, trace.clearance)
-    _emit(
-        args,
-        _summary("maze", res.objective, res.rate, res.score,
-                 len(res.support()), extra),
-        fm.maze_payload(mres, trace),
-    )
-    return 0
+    return (_summary("maze", res.objective, res.rate, res.score, len(res.support()), extra),
+            fm.maze_payload(mres, trace), files)
 
 
 _COMMANDS = {
@@ -375,7 +351,8 @@ _COMMANDS = {
 
 
 def run(argv=None):
-    """Parse argv, execute the subcommand, return the exit code."""
+    """Parse argv, execute the subcommand, then write its files and print its
+    result; return the exit code."""
     _setup_logging()
     parser = build_parser()
     try:
@@ -383,11 +360,16 @@ def run(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.subcommand](args)
+        summary, payload, files = _COMMANDS[args.subcommand](args)
+        shown = fm.json_dumps(payload) if args.json else None
     except TopiaryError as exc:
         sys.stderr.write("error: %s\n" % exc)
         log.debug("failure detail", exc_info=True)
         return exit_code_for(exc)
+    for path, text in files:
+        fm.atomic_write_text(path, text)
+    _emit(summary, shown)
+    return 0
 
 
 def main(argv=None):

@@ -105,7 +105,7 @@ class DomainError(NumericalError):
 class NoProgress(NumericalError):
     """A solve found no way forward: an exchange cycle or a polish did not
     land within its cycle budget, or the oracle found no feasible
-    support."""
+    support. Raised in `solve`, it carries the partial result as `result`."""
 
 
 class AccessibilityFailure(NumericalError):
@@ -144,7 +144,8 @@ class InvariantViolation(TopiaryError):
 
 
 class MonotonicityError(InvariantViolation):
-    """Objective decreased along a solver trajectory."""
+    """Objective decreased along a solver trajectory; raised in `solve`, it
+    carries the partial result as `result`."""
 
 
 class DuplicatePointsWarning(UserWarning):

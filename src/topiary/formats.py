@@ -110,31 +110,36 @@ def write_json(path, payload):
 
 
 @contextlib.contextmanager
-def _named(path):
-    """Put the file name in front of any InvalidInput raised inside."""
+def _named(path, kind=InvalidInput):
+    """Put the file name in front of any error of kind raised inside."""
     try:
         yield
-    except InvalidInput as exc:
+    except kind as exc:
         exc.args = ("%s: %s" % (path, exc),)
         raise
 
 
-def _load_json(path):
+def _read_text(path, newline=None):
+    """The text of a UTF-8 file; call under _named(path)."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
+        with open(path, "r", encoding="utf-8", newline=newline) as handle:
+            return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise InvalidInput("cannot read %s: %s" % (path, exc))
+        raise InvalidInput("cannot read: %s" % exc)
+
+
+def _load_json(path):
+    """The top-level object of a JSON file; call under _named(path)."""
+    try:
+        payload = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
-        raise InvalidInput("%s is not valid JSON: %s" % (path, exc))
+        raise InvalidInput("not valid JSON: %s" % exc)
     if not isinstance(payload, dict):
-        raise InvalidInput("%s: top level must be a JSON object" % path)
+        raise InvalidInput("top level must be a JSON object")
     version = payload.get("format_version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
-        raise InvalidInput(
-            "%s: format_version %r is not supported (expected %d)"
-            % (path, version, FORMAT_VERSION)
-        )
+        raise InvalidInput("format_version %r is not supported (expected %d)"
+                           % (version, FORMAT_VERSION))
     return payload
 
 
@@ -181,8 +186,8 @@ def _atoms(raw, field):
 
 def read_problem(path):
     """Load a problem file, returning (Kernel, PsiSpec)."""
-    payload = _load_json(path)
     with _named(path):
+        payload = _load_json(path)
         block = payload.get("kernel")
         if not isinstance(block, dict):
             raise InvalidInput("missing kernel object")
@@ -214,9 +219,9 @@ def write_measure(path, measure):
 def read_measure(path):
     """A measure file (atoms and kind), or a result file whose weights are
     the solved probability measure."""
-    payload = _load_json(path)
-    field = "atoms" if "atoms" in payload else "weights"
     with _named(path):
+        payload = _load_json(path)
+        field = "atoms" if "atoms" in payload else "weights"
         if field not in payload:
             raise InvalidInput("has neither atoms nor weights")
         kind = payload.get("kind", msr.PROBABILITY)
@@ -244,10 +249,6 @@ def result_payload(result, kern):
         "iterations": result.iterations,
         "algorithm": result.algorithm,
     }
-
-
-def write_result(path, result, kern):
-    write_json(path, result_payload(result, kern))
 
 
 # -- CSV helpers -------------------------------------------------------------
@@ -291,10 +292,6 @@ def trace_csv(trace):
         ("iteration", "objective", "score", "support_size", "added_point", "dropped_points"),
         rows,
     )
-
-
-def write_trace(path, trace):
-    atomic_write_text(path, trace_csv(trace))
 
 
 def margin_csv(measure, psi, kern):
@@ -364,8 +361,8 @@ def portfolio_spec_payload(spec):
 
 
 def read_portfolio_spec(path):
-    payload = _load_json(path)
     with _named(path):
+        payload = _load_json(path)
         for key in ("labels", "mean", "covariance"):
             if key not in payload:
                 raise InvalidInput("portfolio spec needs %r" % key)
@@ -401,26 +398,20 @@ def portfolio_payload(report):
     }
 
 
-def write_portfolio(path, report):
-    write_json(path, portfolio_payload(report))
-
-
 def read_returns(path):
     """returns.csv: header of labels, then one row of decimals per period.
 
     Cells stay raw; ingest_returns owns numeric validation so its errors
     carry file coordinates.
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            rows = [row for row in csv.reader(handle) if row]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InvalidInput("cannot read %s: %s" % (path, exc))
-    if not rows:
-        raise InvalidInput("%s: empty returns file" % path)
-    labels = tuple(cell.strip() for cell in rows[0])
-    if any(not lab for lab in labels):
-        raise InvalidInput("%s: blank label in header" % path)
+    with _named(path):
+        text = _read_text(path, newline="")
+        rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+        if not rows:
+            raise InvalidInput("empty returns file")
+        labels = tuple(cell.strip() for cell in rows[0])
+        if any(not lab for lab in labels):
+            raise InvalidInput("blank label in header")
     body = tuple(tuple(cell.strip() for cell in row) for row in rows[1:])
     return pf.ReturnsTable(labels=labels, rows=body)
 
@@ -429,17 +420,17 @@ def read_returns(path):
 
 def read_mask(path):
     """Obstacle mask from a '#'/'.' grid or a P1 PBM (1 = obstacle)."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InvalidInput("cannot read %s: %s" % (path, exc))
+    with _named(path):
+        return _parse_mask(_read_text(path))
+
+
+def _parse_mask(text):
     lines = [ln.rstrip() for ln in text.splitlines()]
     stripped = [ln for ln in lines if ln.strip()]
     if not stripped:
-        raise InvalidInput("%s: empty mask file" % path)
+        raise InvalidInput("empty mask file")
     if stripped[0].strip() == "P1":
-        return _read_pbm(path, text)
+        return _read_pbm(text)
     rows = []
     width = None
     for lineno, line in enumerate(lines, start=1):
@@ -450,9 +441,7 @@ def read_mask(path):
             width = len(cells)
         elif len(cells) != width:
             raise InvalidInput(
-                "%s: line %d has %d cells, expected %d"
-                % (path, lineno, len(cells), width)
-            )
+                "line %d has %d cells, expected %d" % (lineno, len(cells), width))
         row = []
         for col, ch in enumerate(cells):
             if ch == "#":
@@ -461,29 +450,25 @@ def read_mask(path):
                 row.append(False)
             else:
                 raise InvalidInput(
-                    "%s: line %d column %d: %r is not '#' or '.'"
-                    % (path, lineno, col + 1, ch)
-                )
+                    "line %d column %d: %r is not '#' or '.'" % (lineno, col + 1, ch))
         rows.append(row)
     return np.array(rows, dtype=bool)
 
 
-def _read_pbm(path, text):
+def _read_pbm(text):
     tokens = []
     for line in text.splitlines():
         body = line.split("#", 1)[0]
         tokens.extend(body.split())
     if not tokens or tokens[0] != "P1":
-        raise InvalidInput("%s: not a P1 PBM" % path)
+        raise InvalidInput("not a P1 PBM")
     try:
         width, height = int(tokens[1]), int(tokens[2])
         bits = [int(t) for t in tokens[3:]]
     except (IndexError, ValueError):
-        raise InvalidInput("%s: malformed PBM header or bitmap" % path)
+        raise InvalidInput("malformed PBM header or bitmap")
     if len(bits) != width * height or any(b not in (0, 1) for b in bits):
-        raise InvalidInput(
-            "%s: PBM needs %d binary cells, got %d" % (path, width * height, len(bits))
-        )
+        raise InvalidInput("PBM needs %d binary cells, got %d" % (width * height, len(bits)))
     return np.array(bits, dtype=bool).reshape(height, width)
 
 

@@ -181,18 +181,23 @@ def score(measure, psi, kern, candidates=None):
     return table.score, table.argmax
 
 
+def line_search(table, G, x, s):
+    """The exact line search from the measure of table toward delta_x, whose
+    margin s is positive: along delta_x - mu the objective gains
+    s t - d2 t^2 / 2, with d2 = ||k_x - mu||^2 = G_xx - 2 mu(x) + ||mu||^2.
+    Returns (t, gain); t = 1 when d2 <= s, a zero-length direction among
+    them, so the closed form s^2 / (2 d2) holds only for an interior t."""
+    d2 = float(G[x, x] - 2.0 * table.mu[x] + table.norm_sq)
+    t = 1.0 if d2 <= s else s / d2
+    return t, s * t - d2 * t * t / 2.0
+
+
 def step_gain(measure, psi, kern, x):
     """Objective gain of an exact line search toward delta_x."""
     table = margin_table(measure, psi, kern)
     x = kern._id(x)
     iota = float(table.margins[x])
-    d2 = float(kern.gram[x, x]) - 2.0 * float(table.mu[x]) + table.norm_sq
-    if iota <= 0.0:
-        return 0.0
-    # t = 1 when d2 <= iota, a zero-length direction among them, as the
-    # solver's step; closed form iota^2/(2 d2) only valid for interior t
-    t = 1.0 if d2 <= iota else iota / d2
-    return iota * t - d2 * t * t / 2.0
+    return line_search(table, kern.gram, x, iota)[1] if iota > 0.0 else 0.0
 
 
 def beta(measure, kern, x):

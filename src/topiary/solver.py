@@ -360,12 +360,10 @@ def greedy_step(state):
 
 
 def _step_greedy(state, s, x):
-    """The exact line-search step toward the argmax x, given its score
-    s > margin_tol: along delta_x - mu the objective is s t - d2 t^2 / 2, so
-    t = 1 when d2 <= s, a zero-length direction among them."""
+    """The exact line-search step (`objective.line_search`) toward the
+    argmax x, given its score s > margin_tol."""
     tab = state.table
-    d2 = float(state.G[x, x] - 2.0 * tab.mu[x] + tab.norm_sq)
-    t = 1.0 if d2 <= s else s / d2
+    t, _ = obj.line_search(tab, state.G, x, s)
     state.w *= 1 - t
     state.w[x] += t
     state._refresh_caches()
@@ -430,8 +428,7 @@ def _polish(state):
 # -- hedge and friends ------------------------------------------------------
 
 def _augmented_solve(G_S, top):
-    """Solve [[G_S, 1], [1', 0]] [v; c] = [top; 1], column by column when
-    top is a matrix.
+    """Solve [[G_S, 1], [1', 0]] [v; c] = [top; 1] for the vector top.
 
     Raises NotPrunable when a pivot falls under SINGULARITY_RTOL relative to
     the largest entry. The system is never regularized.
@@ -441,8 +438,7 @@ def _augmented_solve(G_S, top):
     M[:s, :s] = G_S
     M[:s, s] = 1.0
     M[s, :s] = 1.0
-    top = np.asarray(top, dtype=float)
-    rhs = np.concatenate([top, np.ones((1,) + top.shape[1:])])
+    rhs = np.append(np.asarray(top, dtype=float), 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # scipy warns on exact zero pivots
         lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
@@ -454,7 +450,7 @@ def _augmented_solve(G_S, top):
             % (float(pivots.min()), scale)
         )
     sol = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
-    return sol[:s], (sol[s] if top.ndim > 1 else float(sol[s]))
+    return sol[:s], float(sol[s])
 
 
 def hedge(kern, psi, A):
@@ -698,7 +694,11 @@ def solve(kern, psi, config=None, candidates=None):
                 "%s revisited a support/objective pair" % cfg.algorithm, result=_finish(state)
             )
         seen.add(key)
-        step(state, state.table.score, state.table.argmax)
+        try:
+            step(state, state.table.score, state.table.argmax)
+        except (NoProgress, MonotonicityError) as exc:
+            exc.result = _finish(state)
+            raise
     return _finish(state)
 
 

@@ -147,6 +147,26 @@ def test_missing_output_dir_is_exit_2(problem_file, tmp_path, capsys):
     assert "output directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "maze"])
+def test_output_path_that_is_a_directory_is_exit_2(command, problem_file, ring_mask,
+                                                   tmp_path, capsys):
+    """An output path naming an existing directory is refused up front under
+    its name, not left to a write that fails with a traceback."""
+    target = tmp_path / "out"
+    target.mkdir()
+    field = tmp_path / "field.pgm"
+    argv = {
+        "solve": ["solve", "--input", problem_file, "--output", str(target)],
+        "maze": ["maze", "--mask", ring_mask, "--cell-size", "0.05",
+                 "--field", str(field), "--path", str(target)],
+    }[command]
+    rc = cli.run(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "error: %s: output path is a directory\n" % target
+    assert list(target.iterdir()) == [] and not field.exists()
+
+
 def test_bad_argv_is_exit_2(capsys):
     assert cli.run(["solve"]) == 2           # --input is required
     assert cli.run(["frobnicate"]) == 2      # unknown subcommand
@@ -209,6 +229,13 @@ _MALFORMED = {
     "returns annualized mean overflow": ("--returns", "a\n1e307\n1e307\n",
                                          ["--annualize", "252"]),
     "returns cell not a number": ("--returns", "a,b\n0.1,x\n0.2,0.3\n", []),
+    "input not utf-8": ("--input", b'{"psi": "\xff"}', []),
+    "input not JSON": ("--input", '{"psi": [0.0,', []),
+    "solution not JSON": ("--solution", "", []),
+    "spec not utf-8": ("--spec", b"\xfe\xff", []),
+    "returns not utf-8": ("--returns", b"a,b\n0.1,\xff\n", []),
+    "mask not utf-8": ("--mask", b"#.\n\xff#\n", []),
+    "mask without obstacles": ("--mask", "...\n...\n", []),
 }
 
 # refusals that depend on the problem file or on --base name no one file
@@ -217,13 +244,20 @@ _UNNAMED = {"atom point past the end", "base not an id", "base past the end"}
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
 def test_malformed_input_is_exit_2(case, tmp_path, capsys):
+    """A payload given as bytes or text is written as it stands, any other
+    as JSON."""
     flag, payload, extra = _MALFORMED[case]
     path = tmp_path / "input.json"
-    path.write_text(payload if flag == "--returns" else json.dumps(payload))
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    else:
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     if flag == "--input":
         argv = ["solve", "--input", str(path)]
     elif flag in ("--spec", "--returns"):
         argv = ["portfolio", flag, str(path)]
+    elif flag == "--mask":
+        argv = ["maze", "--mask", str(path), "--cell-size", "0.1"]
     else:
         problem = tmp_path / "problem.json"
         problem.write_text(json.dumps(_problem(_GRAM2)))
@@ -234,6 +268,45 @@ def test_malformed_input_is_exit_2(case, tmp_path, capsys):
     assert rc == 2
     assert err.startswith("error: %s: " % path if case not in _UNNAMED else "error:")
     assert "Traceback" not in err
+
+
+_SOLVED = ["--output", "{out}/r.json", "--trace", "{out}/t.csv"]
+
+# (argv, exit code) per subcommand: a run refused after its reading and part
+# of its computing, with every output it takes asked for under {out}
+_REFUSED = {
+    "solve over max-iter": (["solve", "--input", "{problem}", "--algorithm", "greedy",
+                             "--seed-point", "1", "--max-iter", "1"] + _SOLVED, 4),
+    "oracle over 12 points": (["oracle", "--input", "{eye13}", "--output", "{out}/r.json"], 2),
+    "deconstruct over the cap": (["deconstruct", "--input", "{eye20}"] + _SOLVED, 2),
+    "diagnose base outside the index": (
+        ["diagnose", "--input", "{problem}", "--solution", "{optimum}", "--base", "1",
+         "--capm", "{out}/capm.csv", "--jc", "{out}/jc.csv", "--sml", "{out}/sml.csv"], 2),
+    "portfolio spec not PSD": (["portfolio", "--spec", "{spec}", "--output", "{out}/p.json"], 3),
+    "maze path refused after the fields": (
+        ["maze", "--mask", "{mask}", "--cell-size", "0.05", "--field-res", "8",
+         "--field", "{out}/f.pgm", "--conjugate", "{out}/c.pgm", "--path", "{out}/path.csv",
+         "--max-steps", "0"], 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED))
+def test_a_refused_run_writes_nothing(case, problem_file, ring_mask, tmp_path, capsys):
+    """Every subcommand computes all it was asked for before `run` writes
+    anything, so a refusal, however late, leaves no output and prints no
+    summary."""
+    paths = {name: str(tmp_path / name) for name in ("out", "eye13", "eye20", "optimum", "spec")}
+    os.mkdir(paths["out"])
+    fm.write_problem(paths["eye13"], krn.explicit_gram(np.eye(13)))
+    fm.write_problem(paths["eye20"], krn.explicit_gram(np.eye(20)))
+    fm.write_measure(paths["optimum"], AtomicMeasure(((0, 0.4), (2, 0.6))))
+    fm.write_json(paths["spec"], dict(_SPEC, covariance=[[1.0, 2.0], [2.0, 1.0]]))
+    argv, code = _REFUSED[case]
+    rc = cli.run([a.format(problem=problem_file, mask=ring_mask, **paths) for a in argv])
+    captured = capsys.readouterr()
+    assert rc == code, captured.err
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert os.listdir(paths["out"]) == []
 
 
 def _numeric_flags():

@@ -832,6 +832,37 @@ def test_every_algorithm_stops_on_a_revisited_state(monkeypatch, zigzag, zigzag_
     assert exc.value.result.support() == (1,)
 
 
+def test_no_progress_in_solve_carries_the_partial_result():
+    """Two far-apart Fock points: Gram entries near 5e302 leave round-off far
+    above margin_tol at the entering point, so the default exchange never
+    lands (exit 3); the error carries the uncertified iterate."""
+    k = tp.fock([26.4, 26.4 * np.exp(0.1j)])
+    with pytest.raises(tp.NoProgress) as exc:
+        tp.solve(k, None)
+    assert exc.value.exit_code == 3
+    result = exc.value.result
+    assert isinstance(result, tp.TopiaryResult)
+    assert result.score > result.margin_tol
+
+
+def test_monotonicity_error_in_solve_carries_the_partial_result(monkeypatch, zigzag,
+                                                                zigzag_psi):
+    """A step from delta_1 (objective -2) to delta_0 (-5) raises
+    MonotonicityError (exit 5) with the state it left behind."""
+    def downhill(state, s, x):
+        before = state.table.objective
+        state.w[:] = 0.0
+        state.w[0] = 1.0
+        state._refresh_caches()
+        state._check_monotone(before, "downhill")
+
+    monkeypatch.setitem(slv._STEPS, "greedy", downhill)
+    with pytest.raises(tp.MonotonicityError) as exc:
+        tp.solve(zigzag, zigzag_psi, tp.SolveConfig(algorithm="greedy", seed_point=1))
+    assert exc.value.exit_code == 5
+    assert exc.value.result.support() == (0,)
+
+
 def test_solve_subset_restricts_candidates(zigzag, zigzag_psi):
     r = tp.solve_subset(zigzag, zigzag_psi, [0, 1])
     assert set(r.measure.support()) <= {0, 1}
