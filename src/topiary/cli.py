@@ -10,9 +10,11 @@ standard error.
 
 Output is one decision, made in `run`: a subcommand reads and computes,
 then returns its summary, its payload and the text of each file asked for;
-only then does `run` write the files and print. A refused run, whatever
-its exit code, leaves none of its outputs. An output path that names a
-directory is refused before any work, like a missing input.
+only then does `run` write the files and print. The files go to temp files
+first and are renamed once all are written, so a refused run, whatever its
+exit code, leaves none of its outputs, and a write that fails is refused
+(exit 2) like any other. An output path that names a directory is refused
+before any work, like a missing input.
 """
 
 import argparse
@@ -362,12 +364,11 @@ def run(argv=None):
     try:
         summary, payload, files = _COMMANDS[args.subcommand](args)
         shown = fm.json_dumps(payload) if args.json else None
+        fm.write_all(files)
     except TopiaryError as exc:
         sys.stderr.write("error: %s\n" % exc)
         log.debug("failure detail", exc_info=True)
         return exit_code_for(exc)
-    for path, text in files:
-        fm.atomic_write_text(path, text)
     _emit(summary, shown)
     return 0
 

@@ -82,27 +82,37 @@ def json_dumps(payload):
 
 # -- atomic writes ----------------------------------------------------------
 
-def atomic_write_bytes(path, data):
-    """Write via a sibling temp file and rename; no torn output on crash."""
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+def write_all(files):
+    """Write every (path, text) of the list files, or none of them: each
+    text goes to a temp file beside its path, flushed to disk, and the temps
+    are renamed only once all are written, so no output is torn. An OSError
+    removes the temps and becomes InvalidInput naming the path."""
+    staged = []
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        for path, text in files:
+            # a name the file system refuses fails here, before any rename
+            with contextlib.suppress(FileNotFoundError):
+                os.lstat(path)
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-",
+                                       suffix="~")
+            staged.append(tmp)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(text.encode("utf-8"))
+                handle.flush()
+                os.fsync(handle.fileno())
+        for tmp, (path, _) in zip(staged, files):
+            os.replace(tmp, path)
+    except BaseException as exc:
+        for tmp in staged:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise InvalidInput("%s: cannot write: %s" % (path, exc)) from None
         raise
 
 
 def atomic_write_text(path, text):
-    atomic_write_bytes(path, text.encode("utf-8"))
+    write_all([(os.fspath(path), text)])
 
 
 def write_json(path, payload):

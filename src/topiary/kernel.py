@@ -31,6 +31,15 @@ that bound is at most the gate's floor, the gate's predicate holds and
 radius up to 20). A Hardy set too close to |z| = 1, and every explicit,
 Euclidean and covariance matrix, goes through `eigvalsh` as before. At
 TOPIARY_LOG=debug the gate logs which route it took.
+
+Memory: a Kernel build holds one n x n float array, the Gram it keeps, plus
+a fixed scratch tile. The pairings and `explicit_gram` hand the constructor
+an array of its own (a caller's array is copied, never written or frozen);
+the gate checks and symmetrizes it in place tile pair by tile pair, and the
+duplicate scan rounds a block of rows at a time and keeps one hash per row.
+numpy's `eigvalsh` still makes its own LAPACK copy of the Gram, in memory
+that tracemalloc does not see. The Fock and Hardy pairings compute their
+Gram through complex n x n temporaries before the constructor runs.
 """
 
 import logging
@@ -53,6 +62,13 @@ PSD_TOL = 1e-9  # lowest admissible eigenvalue, relative to max|diag|
 # long-double references the worst entry uses under a quarter of it (about
 # 2 u for Fock and 4 u for Hardy, u = eps / 2).
 ENTRY_ERROR = 16 * np.finfo(float).eps
+
+# Rows and columns of the gate's square scratch tile; the duplicate scan
+# rounds _TILE * _TILE entries (whole rows, at least one) at a time.
+_TILE = 128
+
+# Past this, two entries of the same sign can overflow when added.
+_HALF_MAX = float(np.finfo(float).max) / 2.0
 
 log = logging.getLogger("topiary.kernel")
 
@@ -117,28 +133,59 @@ def hardy_error(radii):
 ERRORS = {"fock": fock_error, "hardy": hardy_error}
 
 
+def _symmetric_pass(G, write):
+    """Refuse the square float array G unless its entries are finite and
+    max|G - G'| <= 1e-12 * max(1, max|G|); with write, G becomes (G + G') / 2
+    in place. One pass over the tile pairs I <= J: each takes the skew
+    max|G_IJ - G_JI'| and, with write, puts (G_IJ + G_JI') * 0.5 into both
+    tiles, so the only scratch is one tile."""
+    lo, hi = float(G.min(initial=0.0)), float(G.max(initial=0.0))  # NaN propagates
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidInput("gram matrix has non-finite entries")
+    scale = max(-lo, hi)
+    # a pair whose sum overflows is averaged as a * 0.5 + b * 0.5 instead
+    halve = write and scale > _HALF_MAX
+    n = len(G)
+    tile = np.empty((min(n, _TILE),) * 2)
+    skew = 0.0
+    with np.errstate(over="ignore"):
+        for i in range(0, n, _TILE):
+            for j in range(i, n, _TILE):
+                a = G[i:i + _TILE, j:j + _TILE]
+                b = G[j:j + _TILE, i:i + _TILE].T
+                t = tile[:a.shape[0], :a.shape[1]]
+                skew = max(skew, float(np.abs(np.subtract(a, b, out=t), out=t).max()))
+                if write:
+                    np.multiply(np.add(a, b, out=t), 0.5, out=t)
+                    if halve:
+                        big = np.isinf(t)
+                        t[big] = a[big] * 0.5 + b[big] * 0.5
+                    a[...] = t
+                    b[...] = t
+    if skew > 1e-12 * max(1.0, scale):
+        raise InvalidInput("gram matrix is not symmetric (skew %.3g)" % skew)
+
+
 def checked_symmetric(matrix):
     """The matrix as a float array, once its entries are finite and
-    max|G - G'| <= 1e-12 * max(1, max|G|) (else InvalidInput)."""
+    max|G - G'| <= 1e-12 * max(1, max|G|) (else InvalidInput). The matrix
+    is only read."""
     G = np.asarray(matrix, dtype=float)
-    if not np.isfinite(G).all():
-        raise InvalidInput("gram matrix has non-finite entries")
-    skew = float(np.max(np.abs(G - G.T), initial=0.0))
-    if skew > 1e-12 * max(1.0, float(np.max(np.abs(G), initial=0.0))):
-        raise InvalidInput("gram matrix is not symmetric (skew %.3g)" % skew)
+    _symmetric_pass(G, write=False)
     return G
 
 
-def checked_gram(matrix, error=None):
-    """The symmetrized matrix, once it passes `checked_symmetric` and its
-    lowest eigenvalue is at least -PSD_TOL * max|diag|, the scale being 1
-    for a zero diagonal (else NonPSD carrying that eigenvalue).
+def checked_gram(G, error=None):
+    """The float array G symmetrized in place, once it passes
+    `checked_symmetric` and its lowest eigenvalue is at least
+    -PSD_TOL * max|diag|, the scale being 1 for a zero diagonal (else
+    NonPSD carrying that eigenvalue). G is written even when refused, so
+    the caller passes an array it owns.
 
     `error`, when given, bounds ||G - K||_2 for a PSD matrix K; when it is
     at most the floor PSD_TOL * max|diag|, lambda_min(G) >= -error already
     meets the floor and no eigendecomposition is made."""
-    G = checked_symmetric(matrix)
-    G = (G + G.T) / 2.0
+    _symmetric_pass(G, write=True)
     diag_scale = float(np.max(np.abs(np.diag(G)), initial=0.0)) or 1.0
     floor = PSD_TOL * diag_scale
     if error is not None and error <= floor:
@@ -161,6 +208,8 @@ class Kernel:
     Immutable after construction; the Gram matrix is cached write-once and
     shared. Points are addressed by their integer id (position in the
     ground set); the constructors below check the numbers they are given.
+    A float array passed as `gram` becomes the Kernel's own: it is
+    symmetrized in place and frozen, so the constructors pass a fresh one.
     """
 
     def __init__(self, variant, gram, labels=None, _coords=None):
@@ -175,20 +224,11 @@ class Kernel:
         # a fock or hardy gram is PAIRINGS[variant](_coords, _coords), which
         # the error functions bound
         error = ERRORS[variant](np.abs(_coords)) if variant in ERRORS else None
-        G = checked_gram(G, error)
+        checked_gram(G, error)
         G.setflags(write=False)
         self._gram = G
 
-        keys = {}
-        # an entry too large to scale by 1e12 keeps its own value; -0.0 +
-        # 0.0 is 0.0, so entries that round to either zero hash alike
-        with np.errstate(over="ignore"):
-            Q = np.round(G, 12)
-        np.copyto(Q, G, where=np.isinf(Q))
-        Q += 0.0
-        for i, row in enumerate(Q):
-            keys.setdefault(row.tobytes(), []).append(i)
-        self._duplicates = [ids for ids in keys.values() if len(ids) > 1]
+        self._duplicates = _duplicate_groups(G)
         if self._duplicates:
             warnings.warn(
                 "ground set contains %d group(s) of duplicate points (equal "
@@ -271,11 +311,51 @@ class Kernel:
         return [list(group) for group in self._duplicates]
 
 
+def _row_hash(row):
+    return hash(row.tobytes())
+
+
+def _grouped(G, ids, key, out):
+    """Groups, of two or more, of the ids whose rows of G have equal key once
+    rounded to 12 decimals, rounded len(out) rows at a time in the scratch
+    `out`. An entry too large to scale by 1e12 keeps its own value; -0.0 +
+    0.0 is 0.0, so entries that round to either zero have equal bytes."""
+    groups = {}
+    for s in range(0, len(ids), len(out)):
+        chunk = ids[s:s + len(out)]
+        rows = G[chunk.start:chunk.stop] if isinstance(chunk, range) else G[chunk]
+        Q = out[:len(chunk)]
+        with np.errstate(over="ignore"):
+            np.round(rows, 12, out=Q)
+        np.copyto(Q, rows, where=np.isinf(Q))
+        Q += 0.0
+        for i, row in zip(chunk, Q):
+            groups.setdefault(key(row), []).append(i)
+    return [group for group in groups.values() if len(group) > 1]
+
+
+def _duplicate_groups(G):
+    """Groups (ascending, ordered by first id) of rows of G with equal bytes
+    once rounded to 12 decimals. Rows are bucketed by hash, which keeps n
+    hashes rather than n rows; a bucket of several rows is then split by
+    their exact bytes, so a hash collision never joins two rows."""
+    n = len(G)
+    block = np.empty((max(1, min(n, _TILE * _TILE // n)), n))
+    groups = []
+    for bucket in _grouped(G, range(n), _row_hash, block):
+        groups += _grouped(G, bucket, np.ndarray.tobytes, block)
+    return sorted(groups)
+
+
 # -- constructors ---------------------------------------------------------
 
 def explicit_gram(matrix, labels=None):
-    """Kernel from a precomputed Gram (or covariance) matrix."""
-    return Kernel("explicit-gram", reals(matrix, "gram", 2), labels)
+    """Kernel from a precomputed Gram (or covariance) matrix. An array
+    given is copied: the Kernel never writes or freezes the caller's."""
+    G = reals(matrix, "gram", 2)
+    if isinstance(matrix, np.ndarray) and np.may_share_memory(G, matrix):
+        G = G.copy()
+    return Kernel("explicit-gram", G, labels)
 
 
 def euclidean(coords, labels=None):

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,17 @@ def random_instance(rng, n):
     G = A @ A.T
     psi = rng.uniform(-1.0, 1.0, size=n)
     return tp.explicit_gram(G), tp.PsiSpec.table(psi)
+
+
+def peak_bytes(fn):
+    """The tracemalloc peak, in bytes, of what fn() allocates while it runs
+    (memory held before the call is not counted)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def embedding_gap(kern, mu, nu):

@@ -309,6 +309,34 @@ def test_a_refused_run_writes_nothing(case, problem_file, ring_mask, tmp_path, c
     assert os.listdir(paths["out"]) == []
 
 
+def test_a_write_that_fails_leaves_no_output(problem_file, tmp_path, capsys):
+    """Every file is written to a temp file before any is renamed: a name
+    too long for the file system is refused (exit 2) with neither the trace
+    written before it nor a temp file left."""
+    out = tmp_path / "out"
+    out.mkdir()
+    too_long = str(out / ("a" * 300))
+    rc = cli.run(["solve", "--input", problem_file, "--trace", str(out / "t.csv"),
+                  "--output", too_long])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: %s: cannot write: " % too_long)
+    assert os.listdir(out) == []
+
+
+def test_a_gram_near_the_float_maximum_ends_in_a_documented_code(tmp_path, capsys):
+    """Symmetrizing the entry 1.7e308 as (a + a) / 2 overflowed to inf after
+    the finite check; the solve (RuntimeWarning an error here, as in the
+    whole suite) ends in a documented exit code without a traceback."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(_problem({"type": "gram", "gram": [[1.7e308, 0.0], [0.0, 1.0]]})))
+    rc = cli.run(["solve", "--input", str(path)])
+    err = capsys.readouterr().err
+    assert rc in (0, 2, 3, 4)
+    assert "Traceback" not in err
+
+
 def _numeric_flags():
     """(subcommand, flag) for every int or float flag, and --escape-radius."""
     parser = cli.build_parser()

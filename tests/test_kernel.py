@@ -11,7 +11,7 @@ import topiary as tp
 from topiary import cli
 from topiary import kernel as krn
 
-from conftest import ZIGZAG_COORDS, ZIGZAG_GRAM, numpy_margins
+from conftest import ZIGZAG_COORDS, ZIGZAG_GRAM, numpy_margins, peak_bytes
 
 
 def test_euclidean_zigzag_gram(zigzag):
@@ -305,6 +305,74 @@ def test_asymmetric_gram_rejected():
         tp.explicit_gram([[1.0, 0.5], [0.1, 1.0]])
 
 
+def test_the_tiled_gate_is_the_whole_array_symmetrization():
+    """Over several tiles, the in-place gate writes the bits of (G + G') / 2
+    and refuses a skewed matrix with the skew of the whole array, which
+    `checked_symmetric` only reads."""
+    rng = np.random.default_rng(6)
+    n = 2 * krn._TILE + 37
+    X = rng.normal(size=(n, n + 2))
+    G = X @ X.T + rng.uniform(-1e-13, 1e-13, size=(n, n))  # a skew within tolerance
+    H = G.copy()
+    krn.checked_gram(H)
+    assert H.tobytes() == ((G + G.T) / 2.0).tobytes()
+
+    G[n - 1, 3] += 1.0  # in the last tile pair
+    message = "gram matrix is not symmetric (skew %.3g)" % float(np.max(np.abs(G - G.T)))
+    for check in (krn.checked_gram, krn.checked_symmetric):
+        S = G.copy()
+        with pytest.raises(tp.InvalidInput) as info:
+            check(S)
+        assert str(info.value) == message
+    assert S.tobytes() == G.tobytes()  # checked_symmetric's
+
+
+def test_a_pair_whose_sum_overflows_is_averaged_by_halves():
+    """(a + b) / 2 overflows for two entries near the float maximum; the
+    gate averages such a pair as a / 2 + b / 2, which is finite."""
+    big = 1.7e308
+    k = tp.explicit_gram([[big, 0.0], [0.0, 1.0]])
+    assert np.isfinite(k.gram).all() and k.gram[0, 0] == big
+    below = np.nextafter(big, 0.0)
+    G = np.array([[big, big], [below, big]])
+    krn.checked_gram(G, error=0.0)  # the bound admits it: only the symmetrization runs
+    assert G[0, 1] == G[1, 0] == big * 0.5 + below * 0.5
+
+
+def test_a_euclidean_build_holds_one_gram():
+    """Beyond the coordinates, building the kernel allocates its Gram and a
+    fixed tile of scratch: under 1.25 n^2 doubles (a whole-array gate and
+    duplicate scan took about four). numpy's eigvalsh copies the Gram in
+    LAPACK's own memory, which tracemalloc does not see."""
+    n = 1500
+    C = np.random.default_rng(3).normal(size=(n, 8))
+    assert peak_bytes(lambda: tp.euclidean(C)) < 1.25 * 8 * n * n
+
+
+def test_explicit_gram_of_an_array_holds_one_copy():
+    X = np.random.default_rng(4).normal(size=(1000, 1002))
+    A = X @ X.T
+    assert peak_bytes(lambda: tp.explicit_gram(A)) < 1.25 * A.nbytes
+
+
+def test_a_callers_array_is_neither_written_nor_frozen():
+    """The kernel symmetrizes and freezes its own copy of an array it is
+    given, here one with a skew the gate admits."""
+    X = np.random.default_rng(5).normal(size=(300, 302))
+    A = X @ X.T
+    A[5, 7] += 1e-11
+    before = A.copy()
+    tp.explicit_gram(A)
+    assert A.tobytes() == before.tobytes() and A.flags.writeable
+
+    cov = np.array([[0.04, 0.01 + 1e-15, 0.0], [0.01, 0.09, 0.02], [0.0, 0.02, 0.16]])
+    spec = tp.PortfolioSpec(labels=("a", "b", "c"), mean=np.array([0.1, 0.2, 0.15]),
+                            covariance=cov)
+    before = spec.covariance.copy()
+    tp.optimize_portfolio(spec)
+    assert spec.covariance.tobytes() == before.tobytes() and spec.covariance.flags.writeable
+
+
 def test_duplicate_points_warn_and_group():
     with pytest.warns(tp.DuplicatePointsWarning):
         k = tp.euclidean([(1.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
@@ -332,6 +400,72 @@ def test_duplicate_detection_does_not_overflow(algorithm):
     assert list(r.support()) == [0, 1]
     top, floor = numpy_margins(k.gram, np.zeros(2), r.measure)
     assert top <= r.margin_tol and floor >= -r.margin_tol
+
+
+def _reference_groups(G):
+    """The duplicate rule on the whole array at once: rows rounded to 12
+    decimals (an entry the rounding overflows keeps its value, -0.0 becomes
+    0.0), grouped by their bytes in order of first appearance."""
+    keys = {}
+    with np.errstate(over="ignore"):
+        Q = np.round(G, 12)
+    np.copyto(Q, G, where=np.isinf(Q))
+    Q += 0.0
+    for i, row in enumerate(Q):
+        keys.setdefault(row.tobytes(), []).append(i)
+    return [ids for ids in keys.values() if len(ids) > 1]
+
+
+def _spread_duplicates():
+    """600 draws from 150 points: duplicates far apart, over many row blocks."""
+    rng = np.random.default_rng(11)
+    pool = rng.normal(size=(150, 3))
+    return tp.euclidean(pool[rng.integers(0, 150, size=600)])
+
+
+def _near_duplicates():
+    """Copies moved by 1e-17 to 1e-13: their Gram rows agree within 1e-12,
+    some rounding alike and some not."""
+    rng = np.random.default_rng(12)
+    base = rng.normal(size=(60, 4))
+    shift = 10.0 ** rng.uniform(-17, -13, size=(60, 1)) * rng.choice([-1.0, 1.0], size=base.shape)
+    return tp.euclidean(np.vstack([base, base + shift]))
+
+
+def _correlation_duplicates():
+    """A unit-diagonal correlation Gram of 90 draws from 30 assets."""
+    rng = np.random.default_rng(13)
+    X = rng.normal(size=(30, 6))[rng.integers(0, 30, size=90)]
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    R = X @ X.T
+    np.fill_diagonal(R, 1.0)
+    return tp.explicit_gram(R)
+
+
+_DUPLICATE_CASES = {
+    "exact duplicates over several row blocks": _spread_duplicates,
+    "near-duplicates within 1e-12": _near_duplicates,
+    "unit-diagonal correlation": _correlation_duplicates,
+    "signed rounded zeros": lambda: tp.euclidean(
+        [(1.0, 1e-13), (0.0, 1.0), (1.0, -1e-13), (1e-13, 1.0), (1.0, 0.0), (-1e-13, 1.0)]),
+    "radius 26.4 fock": lambda: tp.fock([26.4, 26.4 * np.exp(0.1j), 26.4]),
+}
+
+
+@pytest.mark.parametrize("row_hash", ["bytes", "constant"])
+@pytest.mark.parametrize("case", sorted(_DUPLICATE_CASES))
+def test_duplicate_scan_matches_the_whole_array_rule(case, row_hash, monkeypatch):
+    """Hashing rows block by block finds the groups, in the order, of
+    grouping whole rounded rows; with a constant hash every row collides
+    and the exact comparison alone splits them."""
+    if row_hash == "constant":
+        monkeypatch.setattr(krn, "_row_hash", lambda row: 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", tp.DuplicatePointsWarning)
+        k = _DUPLICATE_CASES[case]()
+    expected = _reference_groups(k.gram)
+    assert expected
+    assert k.duplicate_groups() == expected
 
 
 def test_no_warning_without_duplicates(zigzag):

@@ -5,7 +5,7 @@ import pytest
 
 import topiary as tp
 
-from conftest import numpy_margins, seeded_ring_mask, seeded_two_ring_mask
+from conftest import numpy_margins, peak_bytes, seeded_ring_mask, seeded_two_ring_mask
 
 
 def single_cell(offset=1 + 0j, cell=1.0, **kw):
@@ -273,19 +273,11 @@ def test_fields_refuse_a_grid_where_g_overflows():
 def test_fields_memory_is_bounded_by_the_output():
     """No resolution^2 x terms temporary: the peak stays within four times
     the complex output."""
-    import tracemalloc
-
     from topiary import maze
 
     m = tp.solve_maze(tp.MazeSpec(mask=ring_gap(), cell_size=0.05))
     assert len(maze._terms(m)[0]) >= 15
-    tracemalloc.start()
-    try:
-        tp.fields(m, resolution=512)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 512 * 512 * 16
+    assert peak_bytes(lambda: tp.fields(m, resolution=512)) < 4 * 512 * 512 * 16
 
 
 def _at(field_fn, m, z):
