@@ -99,7 +99,8 @@ class NotPrunable(NumericalError):
 
 
 class DomainError(NumericalError):
-    """Point outside the kernel domain (Hardy |z| >= 1, Fock overflow guard)."""
+    """Point outside the kernel domain (Hardy |z| >= 1, Fock overflow guard),
+    or a Gram too large for the solver: 2 max(1, max diag) overflows."""
 
 
 class NoProgress(NumericalError):

@@ -217,9 +217,9 @@ def _parse(table):
                     % (i + 1, j + 1, labels[j])
                 ) from None
     if not np.isfinite(data).all():
-        bad = np.argwhere(~np.isfinite(data))[0]
+        i, j = np.argwhere(~np.isfinite(data))[0]
         raise NonNumericCell(
-            "cell at row %d, column %d is not finite" % (bad[0] + 1, bad[1] + 1)
+            "cell at row %d, column %d (%s) is not finite" % (i + 1, j + 1, labels[j])
         )
     return data
 

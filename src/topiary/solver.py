@@ -16,9 +16,10 @@ Three iterative solvers plus ground-truth utilities:
 * exchange: Wolfe's minimum-norm-point method. A major cycle brings in the
   point of maximal margin and heads for the hedge of the support plus it;
   a minor cycle drops the first atom that empties on the way and heads for
-  the hedge of the rest. A face without a hedge, where an atom lies on the
-  affine hull of the others, is walked along that atom's ray.
-  Exact in a handful of steps, and sound on ill-conditioned Grams.
+  the hedge of the rest, each one solve through the support factor. An
+  atom on the affine hull of the others, the entering one included, is
+  named by the factor's pivot rule and its ray walked instead. Exact in a
+  handful of steps, and sound on ill-conditioned Grams.
 
 Also: hedge (the signed mass-one measure with margin identically zero on a
 set), grow/prune sets, topiaric-index predicates, removal orderings, and a
@@ -44,6 +45,7 @@ from .objective import ZERO_TOL
 from .errors import (
     AccessibilityFailure,
     CycleDetected,
+    DomainError,
     InvalidInput,
     MaxIterExceeded,
     MonotonicityError,
@@ -60,9 +62,9 @@ DECONSTRUCT_CAP = 16
 
 # relative pivot threshold below which a system is declared singular: an LU
 # pivot of the augmented system against max(1, max|M|), and a squared pivot
-# of the support factor or the exchange's ||delta_x - nu||^2 against sigma,
-# where the atom lies on the affine hull of the atoms before it and the
-# exchange walks its ray; never regularized silently
+# of the support factor against sigma, where the atom lies on the affine
+# hull of the atoms bordered before it and the exchange walks its ray;
+# never regularized silently
 SINGULARITY_RTOL = 1e-10
 
 # dust: a finished measure and every exchange cycle, the polish's included,
@@ -184,14 +186,15 @@ class SolverState:
     The certificate (`converged`) and the monotonicity check read the table.
 
     For the exchange and the polish the state also keeps one lower Cholesky
-    factor of H = G_S + sigma 11', sigma = max(1, max diag G), over the ids
-    it covers in join order; for PSD G_S, H is positive definite exactly
-    when S is affinely independent. `_cover` borders onto it the atoms of S
-    it lacks, an O(s^2) triangular solve each, refactors it when an atom it
-    covers has left S, and stops at an atom on the affine hull of those
+    factor of H = G_T + sigma 11', sigma = max(1, max diag G), over the ids
+    T it covers in join order; for PSD G_T, H is positive definite exactly
+    when T is affinely independent. `_cover` borders onto it the atoms of T
+    it lacks, an O(t^2) triangular solve each, refactors it when an atom it
+    covers has left T, and stops at an atom on the affine hull of those
     before it. `hedges` solves the hedge of its ids and the shifted hedge of
     one more atom, one `cho_solve` for both. Bordering adds no drift: the
-    result is the Cholesky factor of its ids in join order.
+    result is the Cholesky factor of its ids in join order. A Gram with
+    2 sigma past the float range is refused with DomainError.
     """
 
     def __init__(self, kern, psi, config=None, start=None, candidates=None):
@@ -205,6 +208,9 @@ class SolverState:
         )
         if self.candidates.size == 0:
             raise InvalidInput("no candidates to optimize over")
+        self._sigma = max(1.0, float(np.max(np.diag(self.G))))
+        if not np.isfinite(2.0 * self._sigma):  # bounds every entry of G + sigma
+            raise DomainError("Gram diagonal %.3g overflows the support factor" % self._sigma)
 
         self.w = np.zeros(kern.n)
         if start is None:
@@ -223,7 +229,6 @@ class SolverState:
         self._refresh_caches()
         self.iterations = 0
         self.trace = [] if self.config.trace else None
-        self._sigma = max(1.0, float(np.max(np.diag(self.G))))
         self._factor_ids = np.zeros(0, dtype=int)
         self._factor = np.zeros((0, 0), order="F")
 
@@ -263,20 +268,21 @@ class SolverState:
         beta = (A.sum(axis=0) - 1.0) / e.sum()
         return (A - np.outer(e, beta))[np.argsort(F)], beta + self._sigma
 
-    def _cover(self, S):
-        """Border the atoms of S that the factor lacks onto it, in ascending
-        order, after emptying it if it covers an atom outside S. Returns
-        None once it covers S, or else the first of them whose squared pivot
-        is at most SINGULARITY_RTOL * sigma: that atom lies on the affine
-        hull of the ids bordered before it, which the factor then covers."""
+    def _cover(self, T):
+        """Border the atoms of T that the factor lacks onto it, in the order
+        T gives them, after emptying it if it covers an atom outside T.
+        Returns None once it covers T, or else the first of them whose
+        squared pivot is at most SINGULARITY_RTOL * sigma: that atom lies on
+        the affine hull of the ids bordered before it, which the factor
+        then covers."""
         F = self._factor_ids
         outside = np.ones(self.w.size, dtype=bool)
-        outside[S] = False
+        outside[T] = False
         if outside[F].any():
             F = self._factor_ids = F[:0]
             self._factor = self._factor[:0, :0]
         outside[F] = True
-        new = S[~outside[S]]
+        new = T[~outside[T]]
         if new.size == 0:
             return None
         self._factor, k = self._border(new)
@@ -286,7 +292,8 @@ class SolverState:
     def _border(self, new):
         """(factor of H over the factor's ids then new[:k], k), where new[k]
         is the first atom whose squared pivot is at most SINGULARITY_RTOL *
-        sigma, or k = new.size when there is none."""
+        sigma, or k = new.size when there is none. The Schur complement of
+        the new atoms goes through one `dpotrf`."""
         F, L, sigma = self._factor_ids, self._factor, self._sigma
         k = F.size
         B = np.zeros((k, new.size))
@@ -295,22 +302,16 @@ class SolverState:
                 L, self.G[np.ix_(F, new)] + sigma, lower=True, check_finite=False
             )
         C = self.G[np.ix_(new, new)] + sigma - B.T @ B
-        m = new.size
-        try:
-            D = np.linalg.cholesky(C)
-        except np.linalg.LinAlgError:
-            D = None
-        if D is None or float(np.min(np.diag(D))) ** 2 <= SINGULARITY_RTOL * sigma:
-            # potrf's info names the first pivot that is not positive, and
-            # the columns before it are the factor of their leading block
-            D, info = scipy.linalg.lapack.dpotrf(C, lower=True, clean=True)
-            m = info - 1 if info else m
-            m = next((j for j in range(m) if D[j, j] ** 2 <= SINGULARITY_RTOL * sigma), m)
-            D, B = D[:m, :m], B[:, :m]
+        # potrf's info names the first pivot that is not positive, and the
+        # columns before it are the factor of their leading block
+        D, info = scipy.linalg.lapack.dpotrf(C, lower=True, clean=True)
+        m = info - 1 if info else new.size
+        small = np.diag(D)[:m] ** 2 <= SINGULARITY_RTOL * sigma
+        m = int(np.argmax(small)) if small.any() else m
         out = np.zeros((k + m, k + m), order="F")
         out[:k, :k] = L
-        out[k:, :k] = B.T
-        out[k:, k:] = D
+        out[k:, :k] = B[:, :m].T
+        out[k:, k:] = D[:m, :m]
         return out, m
 
     def support(self):
@@ -497,23 +498,21 @@ def _exchange_core(state, x, where="exchange"):
     """Wolfe's rule: move w toward the hedge of T = support + x, dropping the
     first atom that empties on the way, until w lands on the hedge of a T.
 
-    Each cycle solves, through the state's support factor, the hedge h of
-    S = T - x and the shifted hedge nu of x (`SolverState.hedges`, one
-    bordered solve). The hedge of T is then h + tau (delta_x - nu), with tau
-    the margin of x under h over ||delta_x - nu||^2. It maximizes the
-    concave objective on the affine hull of T, so no move lowers it. When
-    that squared length is at most SINGULARITY_RTOL * sigma, T is affinely
-    dependent, the objective is linear along delta_x - nu, and w walks that
+    Each cycle borders T onto the state's support factor, x last
+    (`SolverState._cover`), and solves the hedge of T through it
+    (`SolverState.hedges`, one bordered solve). The hedge maximizes the
+    concave objective on the affine hull of T, so no move lowers it. When T
+    has no hedge, the factor names an atom a of T, x included, on the affine
+    hull of the atoms bordered before it: the objective is linear along
+    delta_a - nu, nu the shifted hedge of a on those atoms, and w walks that
     ray uphill to its first empty atom instead. If x itself empties, or x is
-    None (a support-side step), the target is h. When S has no hedge, the
-    factor names an atom a of S on the affine hull of the atoms bordered
-    before it, and w walks the ray of a the same way. A landing that leaves
-    the margin at x above tolerance starts another major cycle. T only shrinks
-    within a major cycle, so a dropped atom cannot re-enter (ko rule).
-    Returns (dropped ids, cycle count, final margin at x); a fall of the
-    objective raises MonotonicityError naming `where`.
+    None (a support-side step), T is the support alone. A landing that
+    leaves the margin at x above tolerance starts another major cycle. T
+    only shrinks within a major cycle, so a dropped atom cannot re-enter
+    (ko rule). Returns (dropped ids, cycle count, final margin at x); a fall
+    of the objective raises MonotonicityError naming `where`.
     """
-    G, psi_values, w = state.G, state.psi_values, state.w
+    w = state.w
     tol = state.config.margin_tol
     dropped = []
     inner = 0
@@ -528,26 +527,16 @@ def _exchange_core(state, x, where="exchange"):
         if inner > limit:
             raise NoProgress("exchange did not land within %d cycles (entering %s)" % (limit, x))
         before = state.table.objective
-        a = state._cover(S)
-        if a is not None:
-            # S has no hedge: a lies on the affine hull of F, the atoms
+        a = state._cover(S if enter is None else np.append(S, enter))
+        F = np.sort(state._factor_ids)
+        if a is None:
+            T, y = F, state.hedges()[0][:, 0]
+        else:
+            # T has no hedge: a lies on the affine hull of F, the atoms
             # bordered before it, so the objective is linear along
             # delta_a - nu; its slope is the margin at a less nu's on F
-            F = np.sort(state._factor_ids)
             T, nu, iota = np.append(F, a), state.hedges(a)[0][:, 1], state.table.margins
             y, slope = None, iota[a] - nu @ iota[F]
-        elif enter is None:
-            T, y = S, state.hedges()[0][:, 0]
-        else:
-            V, c = state.hedges(enter)
-            T = np.append(S, enter)
-            h, nu, g = V[:, 0], V[:, 1], G[S, enter]
-            quad = float(G[enter, enter] - nu @ g - c[1])  # ||delta_x - nu||^2
-            lift = float(psi_values[enter] - h @ g - c[0])  # margin at x under h
-            if quad > SINGULARITY_RTOL * state._sigma:
-                y = np.append(h - (lift / quad) * nu, lift / quad)
-            else:
-                y, slope = None, lift
         # no target: walk uphill along the ray of T's last atom
         d = np.copysign(1.0, slope) * np.append(-nu, 1.0) if y is None else y - w[T]
         shrink = d < 0.0

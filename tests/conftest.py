@@ -21,6 +21,22 @@ def zigzag_psi(zigzag):
     return tp.PsiSpec.zero(zigzag)
 
 
+@pytest.fixture
+def named_atoms(monkeypatch):
+    """The atoms `SolverState._cover` names as lying on the affine hull of
+    the atoms bordered before them, in the order it names them."""
+    real, named = tp.SolverState._cover, []
+
+    def spy(self, T):
+        a = real(self, T)
+        if a is not None:
+            named.append(a)
+        return a
+
+    monkeypatch.setattr(tp.SolverState, "_cover", spy)
+    return named
+
+
 def random_instance(rng, n):
     """Random PSD Gram (Wishart) and psi uniform in [-1, 1]^n."""
     A = rng.normal(size=(n, n + 2))

@@ -199,6 +199,8 @@ _SPEC = {"format_version": 1, "labels": ["a", "b"], "mean": [0.1, 0.2],
 # is CSV text; solutions are diagnosed against the two-point gram problem
 _MALFORMED = {
     "ragged gram": ("--input", _problem({"type": "gram", "gram": [[1.0, 0.0], [0.0]]}), []),
+    "gram not square": ("--input", _problem({"type": "gram", "gram": [[1.0, 0.0, 0.0],
+                                                                      [0.0, 1.0, 0.0]]}), []),
     "psi string": ("--input", _problem(_GRAM2, ["a", 0.0]), []),
     "psi null": ("--input", _problem(_GRAM2, [None, 0.0]), []),
     "euclidean point": ("--input", _problem(
@@ -229,6 +231,7 @@ _MALFORMED = {
     "returns annualized mean overflow": ("--returns", "a\n1e307\n1e307\n",
                                          ["--annualize", "252"]),
     "returns cell not a number": ("--returns", "a,b\n0.1,x\n0.2,0.3\n", []),
+    "returns cell inf": ("--returns", "a,b\n0.1,inf\n0.2,0.3\n", []),
     "input not utf-8": ("--input", b'{"psi": "\xff"}', []),
     "input not JSON": ("--input", '{"psi": [0.0,', []),
     "solution not JSON": ("--solution", "", []),
@@ -325,16 +328,18 @@ def test_a_write_that_fails_leaves_no_output(problem_file, tmp_path, capsys):
     assert os.listdir(out) == []
 
 
-def test_a_gram_near_the_float_maximum_ends_in_a_documented_code(tmp_path, capsys):
+@pytest.mark.parametrize("algorithm", slv.ALGORITHMS)
+def test_a_gram_near_the_float_maximum_ends_in_a_documented_code(algorithm, tmp_path, capsys):
     """Symmetrizing the entry 1.7e308 as (a + a) / 2 overflowed to inf after
-    the finite check; the solve (RuntimeWarning an error here, as in the
-    whole suite) ends in a documented exit code without a traceback."""
+    the finite check, and G + sigma overflows in the support factor. Every
+    solve is refused before its first step with exit 3, without a
+    RuntimeWarning (an error here, as in the whole suite) or a traceback."""
     path = tmp_path / "big.json"
     path.write_text(json.dumps(_problem({"type": "gram", "gram": [[1.7e308, 0.0], [0.0, 1.0]]})))
-    rc = cli.run(["solve", "--input", str(path)])
+    rc = cli.run(["solve", "--input", str(path), "--algorithm", algorithm])
     err = capsys.readouterr().err
-    assert rc in (0, 2, 3, 4)
-    assert "Traceback" not in err
+    assert rc == 3
+    assert "overflows the support factor" in err and "Traceback" not in err
 
 
 def _numeric_flags():

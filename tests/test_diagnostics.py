@@ -255,6 +255,12 @@ def test_convergence_summary_requires_oracle(zigzag, zigzag_psi):
         tp.convergence_summary(r.trace, None)
 
 
+def test_convergence_summary_refuses_an_empty_trace():
+    """A solve run without a trace has no rows to take gaps of."""
+    with pytest.raises(tp.RequiresOracle, match="empty trace"):
+        tp.convergence_summary((), -0.5)
+
+
 def test_convergence_summary_flags_growth():
     # a diverging trajectory: gap grows linearly, n * gap quadratically
     rows = [

@@ -71,6 +71,8 @@ def test_ingest_errors_carry_coordinates():
         tp.ingest_returns(returns("AB", [(0.1, "x"), (0.2, 0.1), (0.0, 0.0)]))
     with pytest.raises(tp.NonNumericCell, match="row 1, column 1"):
         tp.ingest_returns(returns("A", [(10**400,), (1,)]))
+    with pytest.raises(tp.NonNumericCell, match=r"row 2, column 2 \(B\) is not finite"):
+        tp.ingest_returns(returns("AB", [(0.1, 0.2), (0.1, "inf"), (0.0, 0.0)]))
 
 
 def test_ingest_refuses_overflowing_moments():

@@ -289,22 +289,7 @@ def test_a_start_must_be_a_probability_measure(zigzag, zigzag_psi):
         tp.exchange_add(zigzag, zigzag_psi, twice, 2)
 
 
-def named_atoms(monkeypatch):
-    """The atoms `SolverState._cover` names as lying on the affine hull of
-    the atoms bordered before them, in the order it names them."""
-    real, named = tp.SolverState._cover, []
-
-    def spy(self, S):
-        a = real(self, S)
-        if a is not None:
-            named.append(a)
-        return a
-
-    monkeypatch.setattr(tp.SolverState, "_cover", spy)
-    return named
-
-
-def test_failed_exchange_leaves_state_consistent(monkeypatch):
+def test_failed_exchange_leaves_state_consistent(named_atoms):
     """Four atoms in R^2 have no hedge: the factor covers three and names
     the fourth, which lies on their affine hull. The exchange step walks
     its ray to the first empty atom and carries on; w stays a probability
@@ -313,10 +298,9 @@ def test_failed_exchange_leaves_state_consistent(monkeypatch):
     kern = tp.euclidean([(-3.0, 1.0), (0.0, 2.0), (2.0, 1.0), (0.0, 1.0), (1.0, -2.0)])
     psi = tp.PsiSpec.table([0.0, 0.5, 0.0, 1.0, 0.0])
     st = state_from(kern, psi, [0, 1, 2, 3], [0.25] * 4)
-    named = named_atoms(monkeypatch)
     before = st.table.objective
     slv._step_exchange(st, st.table.score, st.table.argmax)
-    assert named[0] == 3
+    assert named_atoms[0] == 3
     G, w = kern.gram, st.w
     assert w.min() >= 0.0 and abs(w.sum() - 1.0) <= 1e-14
     assert np.flatnonzero(w).size < 4 and st.table.objective > before
@@ -342,6 +326,23 @@ def _euclid_r8(rng, n):
     """Gaussian points in R^8: supports of 9 atoms have a singular G_S."""
     points = rng.standard_normal((n, 8))
     return tp.euclidean(points), tp.PsiSpec.table(rng.uniform(-1.0, 1.0, n))
+
+
+def test_the_factor_names_an_entering_atom_on_the_hull_of_the_support(named_atoms):
+    """Three atoms in R^2 span the plane, so a fourth point lies on their
+    affine hull. Bordered last onto the support factor, the entering point
+    is the atom the factor names; the step walks its ray, drops two atoms
+    and lands on the optimum (0.8, 0.2) with the objective risen."""
+    kern = tp.euclidean([(0.5, 0.5), (-1.0, 0.0), (2.0, 0.0), (0.0, 2.0)])
+    psi = tp.PsiSpec.table([0.5, 0.0, 0.0, 0.0])
+    st = state_from(kern, psi, [1, 2, 3], [0.4, 0.2, 0.4], config=tp.SolveConfig(trace=True))
+    before = st.table.objective
+    assert st.table.argmax == 0
+    slv._step_exchange(st, st.table.score, st.table.argmax)
+    assert named_atoms == [0]
+    assert st.trace[-1].added_point == 0 and st.trace[-1].dropped_points == (2, 3)
+    assert st.table.objective > before and st.converged()
+    assert st.w == pytest.approx([0.8, 0.2, 0.0, 0.0], abs=1e-12)
 
 
 @pytest.mark.parametrize("instance", ["wishart", "euclid-r8"])
@@ -435,7 +436,7 @@ def test_support_factor_stays_accurate_over_appends_alone():
     assert np.max(np.abs(L @ L.T - H)) <= 4 * np.max(np.abs(fresh @ fresh.T - H))
 
 
-def test_near_duplicate_twins_walk_their_ray(monkeypatch):
+def test_near_duplicate_twins_walk_their_ray(named_atoms):
     """Two points 1e-7 apart have no hedge: the factor names the second
     twin, the exchange step walks the twins' ray until one twin drops out,
     then heads for the hedge with the entering point. The objective rises,
@@ -444,12 +445,11 @@ def test_near_duplicate_twins_walk_their_ray(monkeypatch):
     kern = tp.euclidean([(1.0, 0.0), (1.0, 1e-7), (0.0, 2.0)])
     psi = tp.PsiSpec.table([0.0, 0.0, 3.0])
     st = state_from(kern, psi, [0, 1], [0.5, 0.5], config=tp.SolveConfig(trace=True))
-    named = named_atoms(monkeypatch)
     before = st.table.objective
     s, x = st.table.score, st.table.argmax
     assert x == 2
     slv._step_exchange(st, s, x)
-    assert named == [1]
+    assert named_atoms == [1]
     twins = st.w[:2]
     assert np.count_nonzero(twins) == 1 and st.w[2] > 0.0
     assert st.trace[-1].added_point == 2
@@ -478,20 +478,20 @@ def test_polish_is_kept_and_lands_on_the_hedge():
     assert np.max(np.abs(st.table.margins[st.support()])) <= st.config.margin_tol
 
 
-def test_polish_reads_the_hedge_off_the_support_factor(monkeypatch):
+def test_polish_reads_the_hedge_off_the_support_factor(monkeypatch, named_atoms):
     """On a nonsingular Wishart Gram the polish heads for the hedge of the
     support through the support factor, which names no dependent atom:
     greedy and second-greedy polish once per step."""
     kern, psi = random_instance(np.random.default_rng(65), 30)
     real_polish = slv._polish
-    named, polished = named_atoms(monkeypatch), []
+    polished = []
     monkeypatch.setattr(slv, "_polish", lambda st: polished.append(1) or real_polish(st))
     for algorithm in ("greedy", "second-greedy"):
         polished.clear()
         r = tp.solve(kern, psi, tp.SolveConfig(algorithm=algorithm))
         assert r.score <= r.margin_tol
         assert len(polished) == r.iterations > 0
-    assert named == []
+    assert named_atoms == []
 
 
 @pytest.mark.parametrize("step", [slv._step_fully_corrective, slv._step_second_greedy])
@@ -660,6 +660,68 @@ def test_every_algorithm_certifies_fock_points_with_copies(z):
         r = tp.solve(kern, None, tp.SolveConfig(algorithm=algorithm, max_iter=20000))
         top, floor = numpy_margins(kern.gram, np.zeros(len(z)), r.measure)
         assert top <= r.margin_tol and floor >= -r.margin_tol
+
+
+def _disk(rng, n, radius):
+    return radius * np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+
+
+def _rank_2_cloud(rng):
+    points = rng.standard_normal((1000, 2)) @ rng.standard_normal((2, 8))
+    return tp.euclidean(points), rng.uniform(-1, 1, 1000)
+
+
+def _grid_with_tied_psi(rng):
+    side = np.arange(30) - 14.5
+    points = [(a, b) for a in side for b in side]
+    return tp.euclidean(points), np.repeat(rng.uniform(-1, 1, 30), 30)
+
+
+def _regular_500_gon(rng):
+    t = 2 * np.pi * np.arange(500) / 500
+    return tp.euclidean(np.column_stack([np.cos(t), np.sin(t)])), rng.uniform(-1, 1, 500)
+
+
+def _r8_with_duplicates(rng):
+    points = rng.standard_normal((500, 8))
+    points = np.vstack([points, points[rng.integers(0, 500, 250)]])
+    return tp.euclidean(points), rng.uniform(-1, 1, 750)
+
+
+def _rank_50_wishart(rng):
+    a = rng.standard_normal((600, 50))
+    return tp.explicit_gram(a @ a.T), rng.uniform(-1, 1, 600)
+
+
+def _flattened_r3_cloud(rng):
+    points = rng.standard_normal((2000, 3)) * [1.0, 1.0, 1e-6]
+    return tp.euclidean(points), rng.uniform(-1, 1, 2000)
+
+
+# seeded degenerate inputs at realistic sizes: (kernel, psi) from an rng
+DEGENERATE = {
+    "rank-2 cloud": _rank_2_cloud,
+    "30x30 grid, tied psi": _grid_with_tied_psi,
+    "regular 500-gon": _regular_500_gon,
+    "R^8 with 250 duplicates": _r8_with_duplicates,
+    "rank-50 Wishart": _rank_50_wishart,
+    "Fock disk": lambda rng: (tp.fock(_disk(rng, 300, 1.5)), np.zeros(300)),
+    "Hardy disk": lambda rng: (tp.hardy(_disk(rng, 300, 0.9)), np.zeros(300)),
+    "flattened R^3 cloud": _flattened_r3_cloud,
+}
+
+
+@pytest.mark.parametrize("case", DEGENERATE)
+def test_every_algorithm_certifies_degenerate_inputs_at_size(case):
+    """Rank-deficient Grams, tied psi, affinely dependent and duplicate
+    points: every algorithm certifies, as numpy confirms from G and psi."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", tp.DuplicatePointsWarning)
+        kern, psi = DEGENERATE[case](np.random.default_rng(10))
+    for algorithm in tp.ALGORITHMS:
+        r = tp.solve(kern, psi, tp.SolveConfig(algorithm=algorithm))
+        top, floor = numpy_margins(kern.gram, psi, r.measure)
+        assert top <= r.margin_tol and floor >= -r.margin_tol, algorithm
 
 
 # -- index predicates -------------------------------------------------------
@@ -833,16 +895,28 @@ def test_every_algorithm_stops_on_a_revisited_state(monkeypatch, zigzag, zigzag_
 
 
 def test_no_progress_in_solve_carries_the_partial_result():
-    """Two far-apart Fock points: Gram entries near 5e302 leave round-off far
-    above margin_tol at the entering point, so the default exchange never
-    lands (exit 3); the error carries the uncertified iterate."""
-    k = tp.fock([26.4, 26.4 * np.exp(0.1j)])
+    """40 Fock points evenly spaced at radius 4.25: Gram entries up to 7e7
+    leave round-off above margin_tol at the entering point, so the default
+    exchange never lands (exit 3); the error carries the uncertified
+    iterate."""
+    k = tp.fock(4.25 * np.exp(2j * np.pi * np.arange(40) / 40))
     with pytest.raises(tp.NoProgress) as exc:
         tp.solve(k, None)
     assert exc.value.exit_code == 3
     result = exc.value.result
     assert isinstance(result, tp.TopiaryResult)
     assert result.score > result.margin_tol
+
+
+@pytest.mark.parametrize("algorithm", tp.ALGORITHMS)
+def test_a_far_fock_pair_certifies_under_every_algorithm(algorithm):
+    """Two Fock points at radius 26.4 have Gram entries near 5e302. The
+    exchange borders the entering point onto the support factor and lands on
+    the hedge of the pair, equal weights, as the greedy family does."""
+    k = tp.fock([26.4, 26.4 * np.exp(0.1j)])
+    r = tp.solve(k, None, tp.SolveConfig(algorithm=algorithm))
+    assert r.score <= r.margin_tol
+    assert dict(r.measure.atoms) == pytest.approx({0: 0.5, 1: 0.5}, abs=1e-12)
 
 
 def test_monotonicity_error_in_solve_carries_the_partial_result(monkeypatch, zigzag,
@@ -861,6 +935,19 @@ def test_monotonicity_error_in_solve_carries_the_partial_result(monkeypatch, zig
         tp.solve(zigzag, zigzag_psi, tp.SolveConfig(algorithm="greedy", seed_point=1))
     assert exc.value.exit_code == 5
     assert exc.value.result.support() == (0,)
+
+
+def test_finish_keeps_a_dust_atom_the_certificate_needs():
+    """On G = 1e4 I the optimum puts 5e-11, under WEIGHT_TOL, on point 1.
+    Dropping that atom leaves a margin of 1e-6 there, so the finish keeps
+    the full measure, which certifies."""
+    k = tp.explicit_gram(1e4 * np.eye(2))
+    psi = tp.PsiSpec.table([0.0, -1e4 + 1e-6])
+    r = tp.solve(k, psi)
+    assert r.support() == (0, 1) and r.score <= r.margin_tol
+    assert dict(r.measure.atoms)[1] == pytest.approx(5e-11, rel=1e-4)
+    assert dict(r.measure.atoms)[1] < slv.WEIGHT_TOL
+    assert tp.margin(tp.delta(0), psi, k, 1) == pytest.approx(1e-6, rel=1e-4)
 
 
 def test_solve_subset_restricts_candidates(zigzag, zigzag_psi):
