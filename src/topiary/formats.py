@@ -486,8 +486,10 @@ _PGM_WORDS = np.array([str(v) for v in range(256)])
 
 
 def pgm_text(raster):
-    """P2 PGM, maxval 255, top raster row first, lines kept within 70 chars.
-    The raster must hold integers in 0..255."""
+    """P2 PGM, maxval 255, top raster row first, 17 values a line, so lines
+    stay within 70 chars. The raster must hold integers in 0..255. Its
+    values become words 17 * 256 at a time, and each batch is joined into
+    its lines at once, so no more than one batch of words is held."""
     raster = np.asarray(raster)
     if raster.ndim != 2:
         raise InvalidInput("PGM raster must be 2-D")
@@ -497,11 +499,12 @@ def pgm_text(raster):
         raise InvalidInput("PGM raster values must lie in 0..255, got %d..%d"
                            % (raster.min(), raster.max()))
     height, width = raster.shape
-    flat = _PGM_WORDS[raster.ravel()].tolist()
-    lines = ["P2", "%d %d" % (width, height), "255"]
-    for start in range(0, len(flat), 17):
-        lines.append(" ".join(flat[start:start + 17]))
-    return "\n".join(lines) + "\n"
+    flat, batch = raster.ravel(), 17 * 256
+    parts = ["P2", "%d %d" % (width, height), "255"]
+    for start in range(0, flat.size, batch):
+        words = _PGM_WORDS[flat[start:start + batch]].tolist()
+        parts.append("\n".join(" ".join(words[i:i + 17]) for i in range(0, len(words), 17)))
+    return "\n".join(parts + [""])
 
 
 def write_pgm(path, raster):

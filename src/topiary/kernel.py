@@ -38,8 +38,9 @@ an array of its own (a caller's array is copied, never written or frozen);
 the gate checks and symmetrizes it in place tile pair by tile pair, and the
 duplicate scan rounds a block of rows at a time and keeps one hash per row.
 numpy's `eigvalsh` still makes its own LAPACK copy of the Gram, in memory
-that tracemalloc does not see. The Fock and Hardy pairings compute their
-Gram through complex n x n temporaries before the constructor runs.
+that tracemalloc does not see. The Fock and Hardy pairings write their Gram
+into one output array a block of rows at a time, so their complex
+temporaries are the size of a block, not n x n.
 """
 
 import logging
@@ -93,15 +94,34 @@ def euclidean_pairing(A, B):
     return A @ B.T
 
 
+def _products(A, B):
+    """The float output of a complex pairing of A with B, and a generator
+    over blocks of its rows: (U, out), U = A_rows x conj(B) and out the rows
+    of the output it fills, max(1, _TILE * _TILE // size(B)) rows at a time,
+    so no temporary is larger than a block. A single point as A or B makes
+    one block."""
+    A, Bc = np.asarray(A), np.conj(B)
+    G = np.empty(A.shape + Bc.shape)
+    if G.ndim < 2:
+        return G, iter([(np.multiply.outer(A, Bc), G)])
+    step = max(1, _TILE * _TILE // max(1, Bc.size))
+    return G, ((np.multiply.outer(A[s:s + step], Bc), G[s:s + step])
+               for s in range(0, len(A), step))
+
+
 def fock_pairing(A, B):
-    U = np.multiply.outer(A, np.conj(B))
-    big = float(np.max(np.abs(U), initial=0.0))
-    if big > FOCK_EXPONENT_GUARD:
-        raise DomainError(
-            "fock kernel overflow: |z*conj(w)| = %g exceeds %g (max admissible "
-            "point radius %.4f)" % (big, FOCK_EXPONENT_GUARD, np.sqrt(FOCK_EXPONENT_GUARD))
-        )
-    return np.exp(U.real) * np.cos(U.imag)
+    G, blocks = _products(A, B)
+    for U, out in blocks:
+        big = float(np.max(np.abs(U), initial=0.0))
+        if big > FOCK_EXPONENT_GUARD:  # name the largest over all pairs
+            big = max([big] + [float(np.max(np.abs(V), initial=0.0)) for V, _ in blocks])
+            raise DomainError(
+                "fock kernel overflow: |z*conj(w)| = %g exceeds %g (max admissible "
+                "point radius %.4f)" % (big, FOCK_EXPONENT_GUARD, np.sqrt(FOCK_EXPONENT_GUARD))
+            )
+        np.exp(U.real, out=out)
+        out *= np.cos(U.imag)
+    return G
 
 
 def hardy_pairing(A, B):
@@ -109,8 +129,10 @@ def hardy_pairing(A, B):
         radius = float(np.max(np.abs(P), initial=0.0))
         if radius >= 1.0:
             raise DomainError("hardy kernel requires |z| < 1, got |z| = %g" % radius)
-    U = np.multiply.outer(A, np.conj(B))
-    return ((1.0 + U) / (1.0 - U)).real
+    G, blocks = _products(A, B)
+    for U, out in blocks:
+        out[...] = ((1.0 + U) / (1.0 - U)).real
+    return G
 
 
 PAIRINGS = {"euclidean": euclidean_pairing, "fock": fock_pairing, "hardy": hardy_pairing}

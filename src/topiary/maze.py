@@ -246,7 +246,10 @@ def _to_raster(values):
     hi = float(values.max())
     if hi - lo <= 0:
         return np.zeros(values.shape, dtype=np.uint8)
-    return np.round((values - lo) / (hi - lo) * 255.0).astype(np.uint8)
+    t = values - lo  # one scratch array, scaled in place
+    t /= hi - lo
+    t *= 255.0
+    return np.round(t, out=t).astype(np.uint8)
 
 
 def potential_field(mres, resolution=256, bounds=None):

@@ -68,7 +68,8 @@ DECONSTRUCT_CAP = 16
 SINGULARITY_RTOL = 1e-10
 
 # dust: a finished measure and every exchange cycle, the polish's included,
-# drop atoms this light
+# drop atoms this light, except where dropping them costs the certificate at
+# the finish or at a support-side landing
 WEIGHT_TOL = 1e-10
 
 
@@ -506,11 +507,13 @@ def _exchange_core(state, x, where="exchange"):
     hull of the atoms bordered before it: the objective is linear along
     delta_a - nu, nu the shifted hedge of a on those atoms, and w walks that
     ray uphill to its first empty atom instead. If x itself empties, or x is
-    None (a support-side step), T is the support alone. A landing that
-    leaves the margin at x above tolerance starts another major cycle. T
-    only shrinks within a major cycle, so a dropped atom cannot re-enter
-    (ko rule). Returns (dropped ids, cycle count, final margin at x); a fall
-    of the objective raises MonotonicityError naming `where`.
+    None (a support-side step), T is the support alone. Each cycle drops
+    its dust atoms, but a support-side landing keeps them when dropping them
+    costs the certificate, as the finish does. A landing that leaves the
+    margin at x above tolerance starts another major cycle. T only shrinks
+    within a major cycle, so a dropped atom cannot re-enter (ko rule).
+    Returns (dropped ids, cycle count, final margin at x); a fall of the
+    objective raises MonotonicityError naming `where`.
     """
     w = state.w
     tol = state.config.margin_tol
@@ -549,12 +552,23 @@ def _exchange_core(state, x, where="exchange"):
             w[T] += step * d
             w[T[shrink][np.argmin(ratios)]] = 0.0
         dust = S[w[S] < WEIGHT_TOL]
+        landed = w / w.sum() if x is None and step == reach and dust.size else None
         w[dust] = 0.0
         dropped.extend(dust.tolist())
         if enter is not None and w[enter] <= 0.0:
             w[enter], enter = 0.0, None
         w /= w.sum()
         state._refresh_caches()
+        if landed is not None and not state.converged():
+            # the finish's rule: a support-side landing keeps its dust when
+            # dropping it costs the certificate
+            swept, table = w.copy(), state.table
+            w[:] = landed
+            state._refresh_caches()
+            if state.converged():
+                del dropped[len(dropped) - dust.size:]
+            else:
+                w[:], state.table = swept, table
         state._check_monotone(before, where)
         if step == reach:
             if x is None or state.table.margins[x] <= tol:

@@ -22,7 +22,7 @@ from topiary import portfolio as pf
 from topiary import solver as slv
 from topiary.measure import AtomicMeasure
 
-from conftest import ZIGZAG_COORDS, seeded_ring_mask
+from conftest import ZIGZAG_COORDS, peak_bytes, seeded_ring_mask
 
 
 @pytest.fixture
@@ -576,6 +576,24 @@ def test_maze_on_an_ill_conditioned_ring_exits_0(tmp_path, capsys):
     assert rc == 0, captured.err
     assert "trichotomy solved" in captured.out
     assert path_csv.read_text().endswith("# status: escaped\n")
+
+
+def test_the_benchmark_maze_job_holds_little_beyond_its_gram(tmp_path, capsys):
+    """The maze-ring job (seed 301, 700 cells) with fields and path peaks
+    under twice its 3.9 MB Gram: no n^2 or per-pixel temporary on the way."""
+    mask = tmp_path / "ring301.txt"
+    mask.write_text("".join(
+        "".join("#" if c else "." for c in row) + "\n" for row in seeded_ring_mask(301)))
+    argv = ["maze", "--mask", str(mask), "--cell-size", "0.05",
+            "--field", str(tmp_path / "field.pgm"), "--conjugate", str(tmp_path / "conj.pgm"),
+            "--path", str(tmp_path / "path.csv"), "--json"]
+    codes = []
+    peak = peak_bytes(lambda: codes.append(cli.run(argv)))
+    captured = capsys.readouterr()
+    assert codes == [0], captured.err
+    n = json.loads(captured.out)["cells"]
+    assert n == 700
+    assert peak < 2 * 8 * n * n
 
 
 def test_maze_bad_escape_radius(ring_mask, capsys):

@@ -8,7 +8,7 @@ import pytest
 import topiary as tp
 import topiary.formats as fm
 
-from conftest import ZIGZAG_COORDS
+from conftest import ZIGZAG_COORDS, peak_bytes
 
 
 def test_fmt_round_trips_doubles():
@@ -269,6 +269,29 @@ def test_pgm_format_rules(tmp_path):
         with pytest.raises(tp.InvalidInput):
             fm.write_pgm(str(tmp_path / "bad.pgm"), np.array(bad))
     assert not (tmp_path / "bad.pgm").exists()
+
+
+def one_list_pgm(raster):
+    """P2 text through one Python list of every pixel's word."""
+    height, width = raster.shape
+    words = [str(v) for v in raster.ravel().tolist()]
+    lines = ["P2", "%d %d" % (width, height), "255"]
+    lines += [" ".join(words[i:i + 17]) for i in range(0, len(words), 17)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("shape", [(17, 3), (1, 1), (300, 301), (0, 5)])
+def test_chunked_pgm_is_the_one_list_text(shape):
+    raster = np.random.default_rng(83).integers(0, 256, size=shape, dtype=np.uint8)
+    assert fm.pgm_text(raster) == one_list_pgm(raster)
+
+
+def test_pgm_text_holds_no_word_per_pixel():
+    """At 512^2 the peak stays under six times the text (a list of every
+    pixel's word took about twenty)."""
+    raster = np.random.default_rng(84).integers(0, 256, size=(512, 512), dtype=np.uint8)
+    size = len(fm.pgm_text(raster))
+    assert peak_bytes(lambda: fm.pgm_text(raster)) < 6 * size
 
 
 def test_read_mask_text_and_pbm_agree(tmp_path):

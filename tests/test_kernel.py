@@ -11,7 +11,7 @@ import topiary as tp
 from topiary import cli
 from topiary import kernel as krn
 
-from conftest import ZIGZAG_COORDS, ZIGZAG_GRAM, numpy_margins, peak_bytes
+from conftest import ZIGZAG_COORDS, ZIGZAG_GRAM, numpy_margins, peak_bytes, seeded_ring_mask
 
 
 def test_euclidean_zigzag_gram(zigzag):
@@ -353,6 +353,80 @@ def test_explicit_gram_of_an_array_holds_one_copy():
     X = np.random.default_rng(4).normal(size=(1000, 1002))
     A = X @ X.T
     assert peak_bytes(lambda: tp.explicit_gram(A)) < 1.25 * A.nbytes
+
+
+@pytest.mark.parametrize("variant", ["fock", "hardy"])
+def test_a_complex_build_holds_one_gram(variant):
+    """The pairing writes the Gram a block of rows at a time, so its complex
+    temporaries are the size of a block: the build stays under 1.25 n^2
+    doubles (the whole-array pairing took about four)."""
+    n = 1500
+    rng = np.random.default_rng(5)
+    Z = rng.normal(size=n) + 1j * rng.normal(size=n)
+    Z = Z if variant == "fock" else 0.9 * Z / (1.0 + np.abs(Z))
+    assert peak_bytes(lambda: getattr(tp, variant)(Z)) < 1.25 * 8 * n * n
+
+
+# the pairings as one whole-array formula of U = A x conj(B)
+WHOLE = {
+    "fock": lambda U: np.exp(U.real) * np.cos(U.imag),
+    "hardy": lambda U: ((1.0 + U) / (1.0 - U)).real,
+}
+
+
+def whole_pairing(variant, A, B):
+    return WHOLE[variant](np.multiply.outer(A, np.conj(B)))
+
+
+def test_blocked_pairings_are_the_whole_array_formula():
+    """Bit for bit, on the maze-ring cells and on random disks. A block has
+    16384 // n rows: the 700 cells take 30 blocks of 23 and one of 10; the
+    disks have one point, 50 points (one block of up to 327 rows), and 131,
+    701 and 1337 points, each with a short last block."""
+    cells = tp.solve_maze(tp.MazeSpec(mask=seeded_ring_mask(301), cell_size=0.05))
+    sets = [("fock", cells.kernel.coords)]
+    rng = np.random.default_rng(17)
+    for n in (1, 50, 131, 701, 1337):
+        disk = np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+        sets += [("fock", np.sqrt(krn.FOCK_EXPONENT_GUARD) * disk), ("hardy", 0.999 * disk)]
+    for variant, Z in sets:
+        G = krn.PAIRINGS[variant](Z, Z)
+        assert G.tobytes() == whole_pairing(variant, Z, Z).tobytes(), (variant, len(Z))
+
+
+def test_the_fock_guard_names_the_largest_pair_over_all_blocks():
+    """The first block already trips the guard (|z_0 z_last| = 720), but
+    the largest |z conj(w)| lies in the last block; the message carries the
+    whole-array maximum, and no exp runs on a block past the guard."""
+    rng = np.random.default_rng(29)
+    Z = np.exp(2j * np.pi * rng.uniform(size=300))
+    Z[0], Z[-1] = 20.0 * Z[0], 36.0 * Z[-1]
+    big = float(np.max(np.abs(np.multiply.outer(Z, np.conj(Z)))))
+    assert big == pytest.approx(1296.0)
+    message = ("fock kernel overflow: |z*conj(w)| = %g exceeds %g (max admissible point "
+               "radius %.4f)" % (big, krn.FOCK_EXPONENT_GUARD, math.sqrt(krn.FOCK_EXPONENT_GUARD)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in (lambda: tp.fock(Z), lambda: krn.fock_pairing(Z, Z)):
+            with pytest.raises(tp.DomainError) as info:
+                build()
+            assert str(info.value) == message
+
+
+@pytest.mark.parametrize("variant", ["fock", "hardy"])
+def test_single_points_keep_the_whole_array_formula(variant):
+    """`Kernel.row` and `Kernel.eval` at raw off-ground points are one block,
+    the bits of the whole-array formula, and agree with each other."""
+    rng = np.random.default_rng(31)
+    Z = 0.9 * np.exp(2j * np.pi * rng.uniform(size=40)) * np.sqrt(rng.uniform(size=40))
+    k = getattr(tp, variant)(Z)
+    for z in 0.8 * np.exp(2j * np.pi * rng.uniform(size=10)):
+        row = k.row(z)
+        assert row.tobytes() == whole_pairing(variant, Z, z).tobytes()
+        for i, x in enumerate(Z):
+            value = k.eval(complex(x), complex(z))
+            assert value == float(whole_pairing(variant, complex(x), complex(z)))
+            assert value == pytest.approx(row[i], rel=1e-14, abs=1e-14)
 
 
 def test_a_callers_array_is_neither_written_nor_frozen():

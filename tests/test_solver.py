@@ -950,6 +950,21 @@ def test_finish_keeps_a_dust_atom_the_certificate_needs():
     assert tp.margin(tp.delta(0), psi, k, 1) == pytest.approx(1e-6, rel=1e-4)
 
 
+@pytest.mark.parametrize("algorithm", tp.ALGORITHMS)
+def test_every_algorithm_keeps_the_dust_atom_the_certificate_needs(algorithm):
+    """The same 1e4 I instance: the polish lands on the hedge of {0, 1} and
+    keeps its 5e-11 atom, as the finish does, where it once dropped it and
+    came back to delta_0 (CycleDetected under greedy and second-greedy)."""
+    k = tp.explicit_gram(1e4 * np.eye(2))
+    psi = tp.PsiSpec.table([0.0, -1e4 + 1e-6])
+    r = tp.solve(k, psi, tp.SolveConfig(algorithm=algorithm))
+    assert r.support() == (0, 1) and r.score <= r.margin_tol
+    assert min(tp.margins(r.measure, psi, k)[[0, 1]]) >= -r.margin_tol
+    exchange = dict(tp.solve(k, psi).measure.atoms)
+    assert exchange[1] == pytest.approx(4.99998931e-11, rel=1e-8)
+    assert dict(r.measure.atoms) == pytest.approx(exchange, rel=1e-9)
+
+
 def test_solve_subset_restricts_candidates(zigzag, zigzag_psi):
     r = tp.solve_subset(zigzag, zigzag_psi, [0, 1])
     assert set(r.measure.support()) <= {0, 1}
