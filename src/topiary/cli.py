@@ -13,8 +13,8 @@ then returns its summary, its payload and the text of each file asked for;
 only then does `run` write the files and print. The files go to temp files
 first and are renamed once all are written, so a refused run, whatever its
 exit code, leaves none of its outputs, and a write that fails is refused
-(exit 2) like any other. An output path that names a directory is refused
-before any work, like a missing input.
+(exit 2) like any other. An output path that names a directory, an input or
+another output is refused before any work, like a missing input.
 """
 
 import argparse
@@ -133,16 +133,21 @@ def build_parser():
 # -- shared plumbing ---------------------------------------------------------
 
 def _check_paths(inputs, outputs):
-    """Fail fast on missing inputs, output paths that name a directory, and
-    unwritable output directories."""
+    """Fail fast on missing inputs, output paths that name a directory, an
+    input or an earlier output, and unwritable output directories."""
     for path in inputs:
         if path is not None and not os.path.isfile(path):
             raise InvalidInput("input file %s does not exist" % path)
+    taken = {os.path.realpath(path) for path in inputs if path is not None}
     for path in outputs:
         if path is None:
             continue
         if os.path.isdir(path):
             raise InvalidInput("%s: output path is a directory" % path)
+        real = os.path.realpath(path)
+        if real in taken:
+            raise InvalidInput("%s: output path names an input or another output" % path)
+        taken.add(real)
         parent = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(parent):
             raise InvalidInput("output directory %s does not exist" % parent)
@@ -263,6 +268,8 @@ def _cmd_diagnose(args):
 
 
 def _cmd_portfolio(args):
+    if args.spec and args.annualize is not None:
+        raise InvalidInput("--annualize applies at returns ingestion, not to --spec")
     outputs = []
     if args.output:
         outdir = os.path.dirname(os.path.abspath(args.output))

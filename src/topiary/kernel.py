@@ -33,14 +33,14 @@ Euclidean and covariance matrix, goes through `eigvalsh` as before. At
 TOPIARY_LOG=debug the gate logs which route it took.
 
 Memory: a Kernel build holds one n x n float array, the Gram it keeps, plus
-a fixed scratch tile. The pairings and `explicit_gram` hand the constructor
+a fixed scratch tile; a refused build holds none, since the label and domain
+checks (the Fock guard reads the point radii) come before the Gram. The
+constructor computes a coordinate Gram itself, and `explicit_gram` hands it
 an array of its own (a caller's array is copied, never written or frozen);
 the gate checks and symmetrizes it in place tile pair by tile pair, and the
 duplicate scan rounds a block of rows at a time and keeps one hash per row.
-numpy's `eigvalsh` still makes its own LAPACK copy of the Gram, in memory
-that tracemalloc does not see. The Fock and Hardy pairings write their Gram
-into one output array a block of rows at a time, so their complex
-temporaries are the size of a block, not n x n.
+The complex pairings fill the Gram a block of rows at a time (block-sized
+temporaries); numpy's `eigvalsh` makes a LAPACK copy tracemalloc cannot see.
 """
 
 import logging
@@ -110,15 +110,15 @@ def _products(A, B):
 
 
 def fock_pairing(A, B):
+    # max|A| max|B| is the largest |z conj(w)| over all pairs
+    big = float(np.max(np.abs(A), initial=0.0) * np.max(np.abs(B), initial=0.0))
+    if big > FOCK_EXPONENT_GUARD:
+        raise DomainError(
+            "fock kernel overflow: |z*conj(w)| = %g exceeds %g (max admissible "
+            "point radius %.4f)" % (big, FOCK_EXPONENT_GUARD, np.sqrt(FOCK_EXPONENT_GUARD))
+        )
     G, blocks = _products(A, B)
     for U, out in blocks:
-        big = float(np.max(np.abs(U), initial=0.0))
-        if big > FOCK_EXPONENT_GUARD:  # name the largest over all pairs
-            big = max([big] + [float(np.max(np.abs(V), initial=0.0)) for V, _ in blocks])
-            raise DomainError(
-                "fock kernel overflow: |z*conj(w)| = %g exceeds %g (max admissible "
-                "point radius %.4f)" % (big, FOCK_EXPONENT_GUARD, np.sqrt(FOCK_EXPONENT_GUARD))
-            )
         np.exp(U.real, out=out)
         out *= np.cos(U.imag)
     return G
@@ -230,23 +230,26 @@ class Kernel:
     Immutable after construction; the Gram matrix is cached write-once and
     shared. Points are addressed by their integer id (position in the
     ground set); the constructors below check the numbers they are given.
-    A float array passed as `gram` becomes the Kernel's own: it is
-    symmetrized in place and frozen, so the constructors pass a fresh one.
+    A coordinate variant passes its checked points as `_coords` and the
+    Kernel computes their Gram, the matrix ERRORS bounds, only after its
+    emptiness and label checks. A float array passed as `gram` (by
+    `explicit_gram`) becomes the Kernel's own: symmetrized in place, frozen.
     """
 
-    def __init__(self, variant, gram, labels=None, _coords=None):
+    def __init__(self, variant, gram=None, labels=None, _coords=None):
         self.variant = variant
         self._coords = _coords
-        G = np.asarray(gram, dtype=float)
-        if G.ndim != 2 or G.shape[0] != G.shape[1]:
-            raise InvalidInput("gram matrix must be square, got shape %s" % (G.shape,))
-        if G.size == 0:
+        if _coords is None:
+            G = np.asarray(gram, dtype=float)
+            if G.ndim != 2 or G.shape[0] != G.shape[1]:
+                raise InvalidInput("gram matrix must be square, got shape %s" % (G.shape,))
+        n = len(G if _coords is None else _coords)
+        if n == 0:
             raise InvalidInput("ground set is empty")
-        self._labels = _check_labels(labels, G.shape[0])
-        # a fock or hardy gram is PAIRINGS[variant](_coords, _coords), which
-        # the error functions bound
-        error = ERRORS[variant](np.abs(_coords)) if variant in ERRORS else None
-        checked_gram(G, error)
+        self._labels = _check_labels(labels, n)
+        if _coords is not None:
+            G = PAIRINGS[variant](_coords, _coords)
+        checked_gram(G, ERRORS[variant](np.abs(_coords)) if variant in ERRORS else None)
         G.setflags(write=False)
         self._gram = G
 
@@ -382,27 +385,22 @@ def explicit_gram(matrix, labels=None):
 
 def euclidean(coords, labels=None):
     """Dot-product kernel on real vectors; coords is an (n, d) array."""
-    C = reals(coords, "points", 2)
-    return Kernel("euclidean", euclidean_pairing(C, C), labels, _coords=C)
+    return Kernel("euclidean", labels=labels, _coords=reals(coords, "points", 2))
 
 
 def fock(points, labels=None):
     """Real Fock kernel Re e^{z conj(w)} on complex points.
 
-    Points may be complex scalars or [re, im] pairs. Pairings with
-    |z conj(w)| > 700 would overflow the exponential and raise DomainError.
+    Points may be complex scalars or [re, im] pairs. Points with
+    max|z|^2 > 700 would overflow the exponential and raise DomainError,
+    after the labels are checked and before any Gram entry is computed.
     """
-    return _complex_kernel("fock", points, labels)
+    return Kernel("fock", labels=labels, _coords=_as_complex_array(points))
 
 
 def hardy(points, labels=None):
     """Real Hardy kernel Re (1 + z conj(w))/(1 - z conj(w)); needs |z| < 1."""
-    return _complex_kernel("hardy", points, labels)
-
-
-def _complex_kernel(variant, points, labels):
-    Z = _as_complex_array(points)
-    return Kernel(variant, PAIRINGS[variant](Z, Z), labels, _coords=Z)
+    return Kernel("hardy", labels=labels, _coords=_as_complex_array(points))
 
 
 def _check_labels(labels, n):

@@ -259,20 +259,21 @@ def ingest_returns(table, annualize_factor=None):
                      "annualize_factor", positive=True)
     b, count = _limb_width(nrows, span)
 
-    sums = _fold(sum(limbs.sum(axis=1) for limbs in _limbs(mant, shift, b, count)), b).tolist()
-    mean = np.empty(ncol)
-    for j in range(ncol):
-        mean[j] = _rounded(sums[j] * factor, nrows << exps[j], "mean", labels[j])
-
+    sums = 0
     acc = np.zeros((2 * count - 1, ncol, ncol))
     prod = np.empty((ncol, ncol))
     for limbs in _limbs(mant, shift, b, count):
+        sums += limbs.sum(axis=1)
         for a in range(count):
             for c in range(a, count):
                 np.matmul(limbs[a].T, limbs[c], out=prod)
                 acc[a + c] += prod
                 if c > a:
                     acc[a + c] += prod.T
+    sums = _fold(sums, b).tolist()
+    mean = np.empty(ncol)
+    for j in range(ncol):
+        mean[j] = _rounded(sums[j] * factor, nrows << exps[j], "mean", labels[j])
     upper = np.triu_indices(ncol)
     gram = _fold(acc[:, upper[0], upper[1]], b)
     scale = nrows * nrows * (nrows - 1)

@@ -312,6 +312,50 @@ def test_a_refused_run_writes_nothing(case, problem_file, ring_mask, tmp_path, c
     assert os.listdir(paths["out"]) == []
 
 
+# argv run in a directory holding p.json (a problem), capm.csv (returns) and
+# mask.txt: each names one path twice, as input and output or as two outputs
+_COLLIDING = {
+    "portfolio returns named like its capm table": [
+        "portfolio", "--returns", "capm.csv", "--output", "out.json"],
+    "solve result and trace on one path": [
+        "solve", "--input", "p.json", "--output", "r.json", "--trace", "r.json"],
+    "solve result over its input": ["solve", "--input", "p.json", "--output", "p.json"],
+    "maze field and conjugate on one path": [
+        "maze", "--mask", "mask.txt", "--cell-size", "0.15", "--field-res", "8",
+        "--field", "f.pgm", "--conjugate", "f.pgm"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COLLIDING))
+def test_an_output_may_not_replace_an_input_or_another_output(case, tmp_path, monkeypatch,
+                                                              capsys):
+    monkeypatch.chdir(tmp_path)
+    fm.write_problem("p.json", krn.euclidean(ZIGZAG_COORDS))
+    (tmp_path / "capm.csv").write_text("a,b\n0.3,-0.1\n0.1,0.1\n0.2,0.0\n")
+    (tmp_path / "mask.txt").write_text(ring_gap_text(n=16, cell=0.15))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    rc = cli.run(_COLLIDING[case])
+    captured = capsys.readouterr()
+    assert rc == 2, captured.err
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "output path names an input or another output" in captured.err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_annualize_is_refused_with_a_spec(tmp_path, capsys):
+    """A spec carries its moments already annualized or not; the flag would
+    be ignored, so it is refused before any work."""
+    spec = tmp_path / "spec.json"
+    fm.write_json(str(spec), _SPEC)
+    out = tmp_path / "out.json"
+    rc = cli.run(["portfolio", "--spec", str(spec), "--annualize", "252",
+                  "--output", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == "" and "--annualize" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+
 def test_a_write_that_fails_leaves_no_output(problem_file, tmp_path, capsys):
     """Every file is written to a temp file before any is renamed: a name
     too long for the file system is refused (exit 2) with neither the trace

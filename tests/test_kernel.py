@@ -413,6 +413,81 @@ def test_the_fock_guard_names_the_largest_pair_over_all_blocks():
             assert str(info.value) == message
 
 
+def fock_overflow(big):
+    return ("fock kernel overflow: |z*conj(w)| = %g exceeds %g (max admissible point "
+            "radius %.4f)" % (big, krn.FOCK_EXPONENT_GUARD, math.sqrt(krn.FOCK_EXPONENT_GUARD)))
+
+
+def far_disk(n, seed):
+    """n points uniform on the Fock-admissible disk, the last moved to radius 30."""
+    rng = np.random.default_rng(seed)
+    Z = np.sqrt(krn.FOCK_EXPONENT_GUARD * rng.uniform(size=n)) * np.exp(
+        2j * np.pi * rng.uniform(size=n))
+    Z[-1] = 30.0 * Z[-1] / abs(Z[-1])
+    return Z
+
+
+@pytest.mark.parametrize("build", ["euclidean labels", "fock domain"])
+def test_a_refused_build_allocates_no_gram(build):
+    """The labels and the Fock domain are checked before the Gram exists:
+    each refusal peaks under 1 MB, where computing the Gram first took
+    72 MB (n = 3000) and 18.75 MB (n = 1500)."""
+    if build == "euclidean labels":
+        C = np.random.default_rng(7).normal(size=(3000, 2))
+        refused, error = lambda: tp.euclidean(C, labels=list(range(2999))), tp.InvalidInput
+    else:
+        Z = far_disk(1500, 8)
+        refused, error = lambda: tp.fock(Z), tp.DomainError
+
+    def run():
+        with pytest.raises(error):
+            refused()
+
+    assert peak_bytes(run) < 1e6
+
+
+def whole_max(A, B):
+    return float(np.max(np.abs(np.multiply.outer(A, np.conj(B)))))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_fock_guard_names_the_whole_array_maximum(seed):
+    """The guard's max|A| max|B| is, as the message prints it, the
+    whole-array max|z conj(w)|: for the Gram and for a pairing of the set
+    with all but its farthest point."""
+    rng = np.random.default_rng(seed)
+    Z = far_disk(int(rng.integers(2, 400)), seed)
+    Z[-1] *= rng.uniform(1.0, 2.0)
+    for build, big in ((lambda: tp.fock(Z), whole_max(Z, Z)),
+                       (lambda: krn.fock_pairing(Z, Z[:-1]), whole_max(Z, Z[:-1]))):
+        with pytest.raises(tp.DomainError) as info:
+            build()
+        assert str(info.value) == fock_overflow(big)
+
+
+def test_row_and_eval_past_the_guard_name_the_same_pair():
+    """A raw point past the guard is refused by `row` and by `eval` against
+    the farthest ground point with one message, max|z| |w|."""
+    Z = far_disk(50, 9)[:-1]
+    k = tp.fock(Z)
+    far, w = int(np.argmax(np.abs(Z))), 40.0 * np.exp(0.3j)
+    messages = set()
+    for query in (lambda: k.row(w), lambda: k.eval(far, w), lambda: k.eval(w, far),
+                  lambda: k.row((w.real, w.imag))):
+        with pytest.raises(tp.DomainError) as info:
+            query()
+        messages.add(str(info.value))
+    assert messages == {fock_overflow(abs(Z[far]) * abs(w))}
+
+
+def test_labels_are_refused_before_the_domain():
+    """An input that breaks both rules is refused for its labels."""
+    with pytest.raises(tp.InvalidInput, match="got 2 labels for 5 points"):
+        tp.fock(far_disk(5, 10), labels=["a", "b"])
+    with pytest.raises(tp.InvalidInput, match="got 1 labels for 2 points"):
+        tp.hardy([0.5, 1.5], labels=["a"])
+
+
 @pytest.mark.parametrize("variant", ["fock", "hardy"])
 def test_single_points_keep_the_whole_array_formula(variant):
     """`Kernel.row` and `Kernel.eval` at raw off-ground points are one block,

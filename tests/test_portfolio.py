@@ -82,6 +82,9 @@ def test_ingest_refuses_overflowing_moments():
         tp.ingest_returns(returns("AB", [(0.1, 1e200), (0.2, -1e200)]))
     with pytest.raises(tp.InvalidInput, match="mean of 'A'"):
         tp.ingest_returns(returns("A", [(1e307,), (1e307,)]), annualize_factor=252)
+    # both moments of A overflow: every mean is rounded before any covariance
+    with pytest.raises(tp.InvalidInput, match="mean of 'A'"):
+        tp.ingest_returns(returns("A", [(1e307,), (1e306,)]), annualize_factor=252)
 
 
 def fraction_ingest(table, annualize_factor=None):
