@@ -23,7 +23,6 @@ from .errors import (
     EmptyMask,
     InvalidInput,
     InvariantViolation,
-    KernelNotAnalytic,
     MaxIterExceeded,
     MonotonicityError,
     NoProgress,

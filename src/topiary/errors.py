@@ -69,11 +69,6 @@ class BaseNotInIndex(InvalidInput):
     """Slope-report base point is not in the topiaric index of the solution."""
 
 
-class KernelNotAnalytic(InvalidInput):
-    """Maze fields and paths need the margin as the real part of an analytic
-    function, which only the fock kernel gives."""
-
-
 class StartInsideObstacle(InvalidInput):
     """Path trace started inside an obstacle cell; the trichotomy branch
     should have produced a point mass instead."""

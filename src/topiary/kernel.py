@@ -297,7 +297,11 @@ class Kernel:
         if isinstance(x, _ID_TYPES):
             return self._coords[self._id(x)]
         if self.variant == "euclidean":
-            return reals(x, "point", 1)
+            p, d = reals(x, "point", 1), self._coords.shape[1]
+            if len(p) != d:
+                raise InvalidInput("point has %d coordinates, the ground set's have %d"
+                                   % (len(p), d))
+            return p
         return _as_complex_array([x]).item()  # a complex scalar or one [re, im] pair
 
     def eval(self, x, y):

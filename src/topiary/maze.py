@@ -6,10 +6,14 @@ the gradient of that potential traces a path from the origin to infinity.
 That potential is the real part of one analytic function G, whose terms are
 built once from the solved atoms and the target; the potential field, the
 conjugate field and the path's gradient all read G.
+A MazeResult keeps what the solve produced, not its Fock kernel: a job that
+draws fields and traces a path after the solve holds no Gram, and
+`MazeResult.kernel` builds the same Gram again on first access.
 Coordinates are rescaled before solving so the kernel stays conditioned;
 every exported quantity is mapped back to the input frame.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -23,7 +27,6 @@ from .errors import (
     DomainError,
     EmptyMask,
     InvalidInput,
-    KernelNotAnalytic,
     StartInsideObstacle,
     integer,
     real,
@@ -81,15 +84,23 @@ class Field:
 
 @dataclass(frozen=True)
 class MazeResult:
+    """What `solve_maze` produced; the Fock kernel it solved with is not
+    kept, and `kernel` rebuilds it from the points and scale on first
+    access."""
+
     spec: MazeSpec
     points: Tuple[complex, ...]  # cell centers, input frame
     cells: Tuple[Tuple[int, int], ...]  # (row, col) per point id
     scale: float
     escape_radius: float
-    kernel: object  # fock kernel over scaled points
     psi: object
     result: TopiaryResult
     trichotomy: str  # solved | origin-in-obstacle | target-in-obstacle
+
+    @functools.cached_property
+    def kernel(self):
+        """The fock kernel over the scaled points, the one the solve used."""
+        return fock(np.asarray(self.points) * self.scale)
 
 
 def _cell_centers(spec):
@@ -133,7 +144,8 @@ def solve_maze(spec, config=None):
     """Solve the obstacle topiary; psi = 0, or the target's kernel row.
 
     Degenerate placements short-circuit: an origin or target lying inside an
-    obstacle cell gets a point mass there with zero iterations.
+    obstacle cell gets a point mass there with zero iterations, the origin
+    taking precedence (the target is then not looked up).
     """
     points, cells = _cell_centers(spec)
     radius = float(np.abs(points).max())
@@ -148,30 +160,24 @@ def solve_maze(spec, config=None):
     else:
         psi = obj.PsiSpec.zero(kern)
 
-    origin_cell = _containing_cell(spec, 0j, points)
-    target_cell = (
-        _containing_cell(spec, spec.target, points) if spec.target is not None else None
-    )
-    if origin_cell is not None:
-        result = TopiaryResult.evaluate(
-            msr.delta(origin_cell), psi, kern, cfg.margin_tol, 0, cfg.algorithm
-        )
-        trichotomy = "origin-in-obstacle"
-    elif target_cell is not None:
-        result = TopiaryResult.evaluate(
-            msr.delta(target_cell), psi, kern, cfg.margin_tol, 0, cfg.algorithm
-        )
-        trichotomy = "target-in-obstacle"
-    else:
+    trichotomy, cell = "solved", None
+    for name, z in (("origin-in-obstacle", 0j), ("target-in-obstacle", spec.target)):
+        cell = None if z is None else _containing_cell(spec, z, points)
+        if cell is not None:
+            trichotomy = name
+            break
+    if cell is None:
         result = solve(kern, psi, cfg)
-        trichotomy = "solved"
+    else:
+        result = TopiaryResult.evaluate(
+            msr.delta(cell), psi, kern, cfg.margin_tol, 0, cfg.algorithm
+        )
     return MazeResult(
         spec=spec,
         points=tuple(complex(p) for p in points),
         cells=cells,
         scale=scale,
         escape_radius=escape,
-        kernel=kern,
         psi=psi,
         result=result,
         trichotomy=trichotomy,
@@ -183,14 +189,9 @@ def _terms(mres):
     G(z) = sum_j c_j e^{z q_j}, z in the scaled frame, so iota = Re G - r.
 
     Each nonzero atom p_j enters with c = -w_j and q = conj(p_j * scale); the
-    target alpha, when set, with c = +1 and q = conj(alpha * scale). Fock
-    kernels only: no other variant makes the margin the real part of one
-    analytic function.
+    target alpha, when set, with c = +1 and q = conj(alpha * scale). The
+    margin is this real part because `solve_maze` solves with the Fock kernel.
     """
-    if mres.kernel.variant != "fock":
-        raise KernelNotAnalytic(
-            "maze fields need the analytic fock kernel, not %r" % mres.kernel.variant
-        )
     m = mres.result.measure
     held = m.weights != 0.0
     c = -m.weights[held]
@@ -308,7 +309,7 @@ def trace_path(mres, step_size=None, max_steps=10000):
     step budget (max-steps), or a vanishing gradient (stalled).
     """
     spec = mres.spec
-    if _containing_cell(spec, 0j, mres.points) is not None:
+    if mres.trichotomy == "origin-in-obstacle":
         raise StartInsideObstacle("the origin lies inside an obstacle cell")
     step = spec.cell_size / 4.0 if step_size is None else real(step_size, "step_size", True)
     max_steps = integer(max_steps, "max_steps", positive=True)

@@ -18,6 +18,7 @@ import pytest
 from topiary import cli
 from topiary import formats as fm
 from topiary import kernel as krn
+from topiary import maze as mz
 from topiary import portfolio as pf
 from topiary import solver as slv
 from topiary.measure import AtomicMeasure
@@ -638,6 +639,23 @@ def test_the_benchmark_maze_job_holds_little_beyond_its_gram(tmp_path, capsys):
     n = json.loads(captured.out)["cells"]
     assert n == 700
     assert peak < 2 * 8 * n * n
+
+
+def test_the_benchmark_maze_job_peaks_at_its_solve(tmp_path, capsys):
+    """After the solve the maze job holds no Gram: drawing both fields and
+    tracing the path (seed 301) peak no higher than the solve alone."""
+    ring = seeded_ring_mask(301)
+    mask = tmp_path / "ring301.txt"
+    mask.write_text("".join("".join("#" if c else "." for c in row) + "\n" for row in ring))
+    argv = ["maze", "--mask", str(mask), "--cell-size", "0.05",
+            "--field", str(tmp_path / "field.pgm"), "--conjugate", str(tmp_path / "conj.pgm"),
+            "--path", str(tmp_path / "path.csv")]
+    spec = mz.MazeSpec(mask=ring, cell_size=0.05)
+    solve_peak = peak_bytes(lambda: mz.solve_maze(spec))
+    codes = []
+    job_peak = peak_bytes(lambda: codes.append(cli.run(argv)))
+    assert codes == [0], capsys.readouterr().err
+    assert job_peak <= 1.1 * solve_peak
 
 
 def test_maze_bad_escape_radius(ring_mask, capsys):

@@ -1,12 +1,15 @@
-"""The import path of the package, pinned.
+"""The import path and the public names of the package, pinned.
 
 `import topiary` is most of a short job's start-up time (scipy.linalg alone
 takes about a quarter of a second), so a new module-level import is an edit
-to this set, to be backed by a measurement of that start-up time.
+to this set, to be backed by a measurement of that start-up time. A name
+added to or removed from the `topiary` namespace is an edit to PUBLIC_NAMES,
+so every change of the package's API shows in the diff.
 """
 
 import ast
 import pathlib
+import types
 
 import topiary
 
@@ -14,6 +17,31 @@ MODULE_LEVEL_IMPORTS = {
     "argparse", "contextlib", "csv", "dataclasses", "functools", "io", "itertools", "json",
     "logging", "math", "numbers", "numpy", "os", "scipy.linalg", "sys", "tempfile", "typing",
     "warnings",
+}
+
+PUBLIC_NAMES = {
+    "ALGORITHMS", "AccessibilityFailure", "AtomRescueWarning", "AtomicMeasure",
+    "BaseNotInIndex", "CapmRow", "ConvergenceError", "ConvergenceSummary", "CycleDetected",
+    "DECONSTRUCT_CAP", "DEFAULT_MARGIN_TOL", "DomainError", "DuplicatePointsWarning",
+    "ESCAPE_FACTOR", "EmptyMask", "ExchangeOutcome", "FOCK_EXPONENT_GUARD", "Field",
+    "InvalidInput", "InvariantViolation", "JcRow", "Kernel", "MAZE_MARGIN_TOL",
+    "MarginTable", "MaxIterExceeded", "MazeResult", "MazeSpec", "MonotonicityError",
+    "NoProgress", "NonNumericCell", "NonPSD", "NotAnIndex", "NotPrunable", "NumericalError",
+    "ORACLE_CAP", "PROBABILITY", "PSD_TOL", "PathTrace", "PortfolioReport", "PortfolioSpec",
+    "PsiSpec", "RISK_FREE_LABEL", "RaggedRow", "RequiresOracle", "ReturnsTable", "SIGNED",
+    "SmlPoint", "SmlReport", "SolveConfig", "SolverState", "StartInsideObstacle",
+    "TOutOfRange", "TooFewRows", "TooLarge", "TopiaryError", "TopiaryResult", "TraceRow",
+    "UnknownReferencePoint", "ZeroPortfolio", "add_risk_free", "aesthetic_objective",
+    "alpha", "apply_risk_belief", "as_psi", "beta", "capm_report", "conjugate_field",
+    "construction_ordering", "convergence_summary", "convex_combine", "delta",
+    "discrete_boundary", "drop_small_atoms", "embedded_distance", "euclidean",
+    "exchange_add", "exit_code_for", "explicit_gram", "fields", "fock", "greedy_step",
+    "grow_set", "hardy", "hedge", "ingest_returns", "inner", "invisible_residual",
+    "is_topiaric_index", "jc_report", "margin", "margin_table", "margins", "mu_eval",
+    "norm_sq", "optimize_portfolio", "oracle_solve", "potential_field", "probability",
+    "prune", "prune_set", "rasterize", "reduce_adaptive", "representatives", "score",
+    "signed", "sml_points", "solve", "solve_maze", "solve_subset", "step_gain",
+    "topiaric_rate", "trace_path",
 }
 
 
@@ -38,3 +66,12 @@ def test_the_package_imports_a_fixed_set_of_modules():
     for path in sources:
         found.update(_module_level_imports(ast.parse(path.read_text(), str(path))))
     assert found == MODULE_LEVEL_IMPORTS
+
+
+def test_the_package_exports_a_fixed_set_of_names():
+    """Submodules are left out: which of them are attributes of the package
+    depends on what else has been imported (`topiary.cli` adds `cli` and
+    `formats`)."""
+    names = {n for n in dir(topiary)
+             if not n.startswith("_") and not isinstance(getattr(topiary, n), types.ModuleType)}
+    assert names == PUBLIC_NAMES

@@ -688,3 +688,24 @@ def test_row_matches_eval_off_ground_set():
     r = k.row((z.real, z.imag))
     for i in range(k.n):
         assert r[i] == pytest.approx(k.eval(i, z), abs=1e-12)
+
+
+_RAW_READERS = {
+    "row": lambda k, p: k.row(p),
+    "eval": lambda k, p: k.eval(p, p),
+    "eval-id": lambda k, p: k.eval(0, p),
+    "embed_distance": lambda k, p: k.embed_distance(p, p),
+    "mu_eval": lambda k, p: tp.mu_eval(tp.delta(0), k, p),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_RAW_READERS))
+@pytest.mark.parametrize("point", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0]])
+def test_a_raw_point_must_have_the_ground_sets_dimension(reader, point):
+    """A Euclidean raw point of the wrong length is refused, naming both
+    lengths, not paired with an R^3 ground set."""
+    k = tp.euclidean(np.eye(3))
+    expect = "point has %d coordinates, the ground set's have 3" % len(point)
+    with pytest.raises(tp.InvalidInput, match=expect):
+        _RAW_READERS[reader](k, point)
+    assert _RAW_READERS[reader](k, point[:1] + [0.0, 0.0]) is not None

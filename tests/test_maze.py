@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import topiary as tp
+from topiary import maze as mz
 
 from conftest import numpy_margins, peak_bytes, seeded_ring_mask, seeded_two_ring_mask
 
@@ -192,19 +194,28 @@ def test_conjugate_field_vanishes_on_real_axis_for_origin_atom():
     assert np.max(np.abs(c.values[iy, :])) <= 1e-12
 
 
-def test_conjugate_field_requires_analytic_kernel():
-    """Every reader of the analytic margin refuses a non-Fock kernel."""
-    import dataclasses
+def test_the_result_keeps_no_kernel_and_rebuilds_the_solves_gram():
+    """MazeResult has no kernel field; its kernel, built on first access and
+    then kept, has the Gram of the scaled cell centers bit for bit."""
+    spec = tp.MazeSpec(mask=seeded_ring_mask(301), cell_size=0.05)
+    m = tp.solve_maze(spec)
+    assert "kernel" not in {f.name for f in dataclasses.fields(m)}
+    assert "kernel" not in vars(m)
+    expect = tp.fock(tp.rasterize(spec) * m.scale).gram
+    assert m.kernel.gram.tobytes() == expect.tobytes()
+    assert m.kernel is m.kernel
 
-    m = tp.solve_maze(single_cell())
-    for k in (tp.euclidean([(1.0, 0.0)]), tp.hardy([0.5 + 0j])):
-        fake = dataclasses.replace(m, kernel=k)
-        with pytest.raises(tp.KernelNotAnalytic):
-            tp.conjugate_field(fake, resolution=8)
-        with pytest.raises(tp.KernelNotAnalytic):
-            tp.potential_field(fake, resolution=8)
-        with pytest.raises(tp.KernelNotAnalytic):
-            tp.trace_path(fake)
+
+def test_a_path_from_inside_an_obstacle_is_refused_by_its_trichotomy(monkeypatch):
+    """trace_path reads the result's trichotomy, not the cells, and refuses
+    the origin-in-obstacle branch with exit 2."""
+    inside, outside = tp.solve_maze(single_cell(offset=0j)), tp.solve_maze(single_cell())
+    monkeypatch.setattr(mz, "_containing_cell", None)
+    with pytest.raises(tp.StartInsideObstacle,
+                       match="^the origin lies inside an obstacle cell$") as err:
+        tp.trace_path(inside)
+    assert tp.exit_code_for(err.value) == 2
+    assert tp.trace_path(outside).status == "escaped"
 
 
 @pytest.mark.parametrize("bounds", [

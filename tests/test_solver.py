@@ -965,6 +965,23 @@ def test_every_algorithm_keeps_the_dust_atom_the_certificate_needs(algorithm):
     assert dict(r.measure.atoms) == pytest.approx(exchange, rel=1e-9)
 
 
+def test_a_landing_whose_dust_certifies_neither_way_stays_dropped():
+    """With a third point at margin 1.0001e4 neither the landing on the hedge
+    of {0, 1} (5e-11 on point 1) nor delta_0 certifies, so the polish keeps
+    the dropped state: weights and table both restored to delta_0."""
+    k = tp.explicit_gram(1e4 * np.eye(3))
+    psi = tp.PsiSpec.table([0.0, -1e4 + 1e-6, 1.0])
+    state = tp.SolverState(k, psi, tp.SolveConfig(trace=True),
+                           start=tp.probability([0, 1], [0.5, 0.5]))
+    slv._polish(state)
+    assert state.w.tolist() == [1.0, 0.0, 0.0]
+    assert state.trace[-1].dropped_points == (1,)
+    fresh = tp.margin_table(tp.delta(0), psi, k)
+    assert state.table.objective == fresh.objective
+    assert np.array_equal(state.table.margins, fresh.margins)
+    assert not state.converged()
+
+
 def test_solve_subset_restricts_candidates(zigzag, zigzag_psi):
     r = tp.solve_subset(zigzag, zigzag_psi, [0, 1])
     assert set(r.measure.support()) <= {0, 1}
