@@ -330,8 +330,9 @@ class Kernel:
         return float(np.sqrt(max(0.0, kxx - 2.0 * kxy + kyy)))
 
     def duplicate_groups(self):
-        """Groups of ids whose Gram rows agree within 1e-12 (quantized),
-        found once at construction.
+        """Groups of ids whose Gram rows agree within 1e-12 (quantized;
+        relative to the largest diagonal entry when that is below 1), found
+        once at construction.
 
         Singleton groups are omitted. Solvers collapse each group to one
         representative before optimizing; equal margins on duplicates
@@ -344,18 +345,19 @@ def _row_hash(row):
     return hash(row.tobytes())
 
 
-def _grouped(G, ids, key, out):
-    """Groups, of two or more, of the ids whose rows of G have equal key once
-    rounded to 12 decimals, rounded len(out) rows at a time in the scratch
-    `out`. An entry too large to scale by 1e12 keeps its own value; -0.0 +
-    0.0 is 0.0, so entries that round to either zero have equal bytes."""
+def _grouped(G, ids, key, out, scale):
+    """Groups, of two or more, of the ids whose rows of G, divided by scale,
+    have equal key once rounded to 12 decimals, rounded len(out) rows at a
+    time in the scratch `out`. An entry too large to round keeps its own
+    value; -0.0 + 0.0 is 0.0, so entries that round to either zero have
+    equal bytes."""
     groups = {}
     for s in range(0, len(ids), len(out)):
         chunk = ids[s:s + len(out)]
         rows = G[chunk.start:chunk.stop] if isinstance(chunk, range) else G[chunk]
         Q = out[:len(chunk)]
         with np.errstate(over="ignore"):
-            np.round(rows, 12, out=Q)
+            np.round(rows if scale == 1.0 else np.divide(rows, scale, out=Q), 12, out=Q)
         np.copyto(Q, rows, where=np.isinf(Q))
         Q += 0.0
         for i, row in zip(chunk, Q):
@@ -365,14 +367,19 @@ def _grouped(G, ids, key, out):
 
 def _duplicate_groups(G):
     """Groups (ascending, ordered by first id) of rows of G with equal bytes
-    once rounded to 12 decimals. Rows are bucketed by hash, which keeps n
+    once rounded to 12 decimals of min(1, s), s the largest diagonal entry:
+    absolute decimals on a Gram of unit scale or more, and relative to the
+    Gram's scale below it, where absolute decimals would join every row of
+    a Gram smaller than 1e-12. Rows are bucketed by hash, which keeps n
     hashes rather than n rows; a bucket of several rows is then split by
     their exact bytes, so a hash collision never joins two rows."""
     n = len(G)
+    top = float(np.max(np.diagonal(G)))
+    scale = top if 0.0 < top < 1.0 else 1.0
     block = np.empty((max(1, min(n, _TILE * _TILE // n)), n))
     groups = []
-    for bucket in _grouped(G, range(n), _row_hash, block):
-        groups += _grouped(G, bucket, np.ndarray.tobytes, block)
+    for bucket in _grouped(G, range(n), _row_hash, block, scale):
+        groups += _grouped(G, bucket, np.ndarray.tobytes, block, scale)
     return sorted(groups)
 
 

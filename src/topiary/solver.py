@@ -25,6 +25,13 @@ Also: hedge (the signed mass-one measure with margin identically zero on a
 set), grow/prune sets, topiaric-index predicates, removal orderings, and a
 subset-enumeration oracle used as independent ground truth in tests.
 
+The linear algebra is numpy's alone. The support factor's triangular
+solves are blocked substitutions: matrix products, plus one solve per
+diagonal block of at most 32 rows. The augmented systems of hedge,
+prune_set and the oracle go through one Gaussian elimination with partial
+pivoting over a stack of systems, whose pivots carry the singularity rule;
+the oracle stacks all subsets of one size.
+
 A result only counts as converged when the full certificate holds
 (`MarginTable.certifies`): maximal margin at most margin_tol everywhere and
 support margins at least -margin_tol; a solve that comes back to a state
@@ -34,10 +41,8 @@ raises CycleDetected.
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional, Tuple
-import warnings
 
 import numpy as np
-import scipy.linalg
 
 from . import measure as msr
 from . import objective as obj
@@ -60,12 +65,15 @@ from .errors import (
 ORACLE_CAP = 12
 DECONSTRUCT_CAP = 16
 
-# relative pivot threshold below which a system is declared singular: an LU
-# pivot of the augmented system against max(1, max|M|), and a squared pivot
-# of the support factor against sigma, where the atom lies on the affine
-# hull of the atoms bordered before it and the exchange walks its ray;
-# never regularized silently
+# relative pivot threshold below which a system is declared singular: a
+# pivot of the augmented system's elimination (partial pivoting) against its
+# largest entry, and a squared pivot of the support factor against sigma,
+# where the atom lies on the affine hull of the atoms bordered before it and
+# the exchange walks its ray; never regularized silently
 SINGULARITY_RTOL = 1e-10
+
+# rows of a diagonal block in the support factor's blocked substitutions
+_BLOCK = 32
 
 # dust: a finished measure and every exchange cycle, the polish's included,
 # drop atoms this light, except where dropping them costs the certificate at
@@ -187,15 +195,19 @@ class SolverState:
     The certificate (`converged`) and the monotonicity check read the table.
 
     For the exchange and the polish the state also keeps one lower Cholesky
-    factor of H = G_T + sigma 11', sigma = max(1, max diag G), over the ids
-    T it covers in join order; for PSD G_T, H is positive definite exactly
-    when T is affinely independent. `_cover` borders onto it the atoms of T
-    it lacks, an O(t^2) triangular solve each, refactors it when an atom it
+    factor L of H = G_T + sigma 11', sigma the largest diagonal entry of G
+    (1 on a zero diagonal), over the ids T it covers in join order; for PSD
+    G_T, H is positive definite exactly when T is affinely independent. L
+    lives in a buffer that grows geometrically, beside L^-1 psi_T, L^-1 1 and
+    the inverses of L's full diagonal blocks of _BLOCK rows. `_cover`
+    borders onto it the atoms of T it lacks, one blocked forward
+    substitution (`_lower`) for all of them, refactors it when an atom it
     covers has left T, and stops at an atom on the affine hull of those
     before it. `hedges` solves the hedge of its ids and the shifted hedge of
-    one more atom, one `cho_solve` for both. Bordering adds no drift: the
-    result is the Cholesky factor of its ids in join order. A Gram with
-    2 sigma past the float range is refused with DomainError.
+    one more atom with one blocked back substitution (`_upper`) for both.
+    Bordering adds no drift: the result is the Cholesky factor of its ids
+    in join order. A Gram with 2 sigma past the float range is refused with
+    DomainError.
     """
 
     def __init__(self, kern, psi, config=None, start=None, candidates=None):
@@ -209,7 +221,10 @@ class SolverState:
         )
         if self.candidates.size == 0:
             raise InvalidInput("no candidates to optimize over")
-        self._sigma = max(1.0, float(np.max(np.diag(self.G))))
+        # the Gram's scale: the pivot rule is relative to it at any scale
+        self._sigma = float(np.max(np.diag(self.G)))
+        if not self._sigma > 0.0:
+            self._sigma = 1.0
         if not np.isfinite(2.0 * self._sigma):  # bounds every entry of G + sigma
             raise DomainError("Gram diagonal %.3g overflows the support factor" % self._sigma)
 
@@ -231,7 +246,10 @@ class SolverState:
         self.iterations = 0
         self.trace = [] if self.config.trace else None
         self._factor_ids = np.zeros(0, dtype=int)
-        self._factor = np.zeros((0, 0), order="F")
+        self._L = np.zeros((0, 0))  # buffer: the factor is its leading block
+        self._z = np.zeros((0, 2))  # L^-1 [psi_F, 1], rows in join order
+        self._inverses = {}  # first row -> inverse of a full diagonal block
+        self._named = None  # (atom, L^-1 H[F, atom]) of the atom last named
 
     def _to_candidate(self, point_id):
         if point_id in self.candidates:
@@ -252,22 +270,35 @@ class SolverState:
             float(self.w[sup] @ mu[sup]), self.candidates, self.G
         )
 
+    @property
+    def _factor(self):
+        """The lower Cholesky factor of H over the factor's ids, in join
+        order: the leading block of the buffer it grows in."""
+        t = self._factor_ids.size
+        return self._L[:t, :t]
+
     def hedges(self, x=None):
         """(V, c) on the factor's ids F in ascending order, one column per
         right-hand side of [[G_F, 1], [1', 0]] [v; c] = [b; 1]: b = psi_F,
         the hedge of F, and when x is given b = G[F, x], the shifted hedge
         of x.
 
-        With A = H^-1 [b...] and e = H^-1 1 from one `cho_solve`,
-        V = A - e beta' and c = beta + sigma, where beta = (1'A - 1) / 1'e.
+        With z = L^-1 [b...] and z1 = L^-1 1, A = L^-T z and e = L^-T z1 come
+        from one back substitution; V = A - e beta' and c = beta + sigma,
+        where beta = (z1'z - 1) / z1'z1. L^-1 psi_F and z1 are kept from the
+        borders, and L^-1 G[F, x] = L^-1 H[F, x] - sigma z1 reuses the row
+        that named x, so a cycle makes no other substitution.
         """
-        rows = (self.psi_values,) if x is None else (self.psi_values, self.G[x])
-        F = self._factor_ids
-        rhs = np.column_stack([r[F] for r in rows] + [np.ones(F.size)])
-        sol = scipy.linalg.cho_solve((self._factor, True), rhs, check_finite=False)
-        A, e = sol[:, :-1], sol[:, -1]
-        beta = (A.sum(axis=0) - 1.0) / e.sum()
-        return (A - np.outer(e, beta))[np.argsort(F)], beta + self._sigma
+        F, sigma = self._factor_ids, self._sigma
+        z = self._z[:F.size]
+        if x is not None:
+            named = self._named
+            row = named[1] if named and named[0] == x else self._lower(self.G[x, F] + sigma)
+            z = np.column_stack([z[:, 0], row - sigma * z[:, 1], z[:, 1]])
+        Y = self._upper(z)
+        z1 = z[:, -1]
+        beta = (z1 @ z[:, :-1] - 1.0) / (z1 @ z1)
+        return (Y[:, :-1] - np.outer(Y[:, -1], beta))[np.argsort(F)], beta + sigma
 
     def _cover(self, T):
         """Border the atoms of T that the factor lacks onto it, in the order
@@ -277,43 +308,112 @@ class SolverState:
         the affine hull of the ids bordered before it, which the factor
         then covers."""
         F = self._factor_ids
+        self._named = None
         outside = np.ones(self.w.size, dtype=bool)
         outside[T] = False
         if outside[F].any():
             F = self._factor_ids = F[:0]
-            self._factor = self._factor[:0, :0]
+            self._inverses = {}
         outside[F] = True
         new = T[~outside[T]]
-        if new.size == 0:
-            return None
-        self._factor, k = self._border(new)
-        self._factor_ids = np.concatenate([F, new[:k]])
-        return None if k == new.size else int(new[k])
+        return self._border(new) if new.size else None
 
     def _border(self, new):
-        """(factor of H over the factor's ids then new[:k], k), where new[k]
-        is the first atom whose squared pivot is at most SINGULARITY_RTOL *
-        sigma, or k = new.size when there is none. The Schur complement of
-        the new atoms goes through one `dpotrf`."""
-        F, L, sigma = self._factor_ids, self._factor, self._sigma
-        k = F.size
-        B = np.zeros((k, new.size))
+        """Border new onto the factor, in order, up to the first atom whose
+        squared pivot is at most SINGULARITY_RTOL * sigma, and return that
+        atom (None when there is none). The Schur complement of several
+        atoms goes through one `np.linalg.cholesky`, the leading block of
+        whose factor is the factor of the leading atoms; where it is not
+        positive definite, the atoms are bordered one at a time."""
+        k, sigma = self._factor_ids.size, self._sigma
+        self._reserve(k + new.size)
+        rows = self.G[new]
+        B = rows[:, self._factor_ids].T + sigma
         if k:
-            B = scipy.linalg.solve_triangular(
-                L, self.G[np.ix_(F, new)] + sigma, lower=True, check_finite=False
-            )
-        C = self.G[np.ix_(new, new)] + sigma - B.T @ B
-        # potrf's info names the first pivot that is not positive, and the
-        # columns before it are the factor of their leading block
-        D, info = scipy.linalg.lapack.dpotrf(C, lower=True, clean=True)
-        m = info - 1 if info else new.size
-        small = np.diag(D)[:m] ** 2 <= SINGULARITY_RTOL * sigma
-        m = int(np.argmax(small)) if small.any() else m
-        out = np.zeros((k + m, k + m), order="F")
-        out[:k, :k] = L
-        out[k:, :k] = B[:, :m].T
-        out[k:, k:] = D[:m, :m]
-        return out, m
+            B = self._lower(B)  # L^-1 H[F, new]
+        C = rows[:, new] + sigma - B.T @ B
+        if new.size == 1:
+            D = np.sqrt(np.maximum(C, 0.0))
+        else:
+            try:
+                D = np.linalg.cholesky(C)
+            except np.linalg.LinAlgError:
+                for i in range(new.size):
+                    a = self._border(new[i:i + 1])
+                    if a is not None:
+                        return a
+                return None
+        small = np.diagonal(D) ** 2 <= SINGULARITY_RTOL * sigma
+        m = int(np.argmax(small)) if small.any() else new.size
+        self._append(new[:m], B[:, :m], D[:m, :m])
+        if m == new.size:
+            return None
+        self._named = (int(new[m]), np.concatenate([B[:, m], D[m, :m]]))
+        return self._named[0]
+
+    def _append(self, new, B, D):
+        """Write the rows [B' D] of the atoms new into the factor and extend
+        the kept L^-1 [psi_F, 1] by their rows: D z_new = r_new - B' z."""
+        k, m = self._factor_ids.size, new.size
+        if m == 0:
+            return
+        self._L[k:k + m, :k] = B.T
+        self._L[k:k + m, k:k + m] = D
+        r = np.column_stack([self.psi_values[new], np.ones(m)]) - B.T @ self._z[:k]
+        self._factor_ids = np.concatenate([self._factor_ids, new])
+        self._z[k:k + m] = r / D[0, 0] if m == 1 else self._lower(r, k)
+
+    def _reserve(self, size):
+        """Room for a factor over size atoms: the buffer grows geometrically,
+        capped at the ground set, and keeps the factor it holds."""
+        cap = self._L.shape[0]
+        if size <= cap:
+            return
+        cap, t = min(self.w.size, max(size, 2 * cap)), self._factor_ids.size
+        L, z = np.zeros((cap, cap)), np.zeros((cap, 2))
+        L[:t, :t], z[:t] = self._L[:t, :t], self._z[:t]
+        self._L, self._z = L, z
+
+    def _block_inverse(self, s):
+        """The inverse of the factor's full diagonal block at rows s..s+_BLOCK,
+        cached until the factor is emptied: rows once bordered never change."""
+        inv = self._inverses.get(s)
+        if inv is None:
+            inv = self._inverses[s] = np.linalg.inv(self._L[s:s + _BLOCK, s:s + _BLOCK])
+        return inv
+
+    def _lower(self, R, lo=0):
+        """X with L[lo:t, lo:t] X = R, L the factor over t atoms: its diagonal
+        blocks (rows s..e, cut at multiples of _BLOCK) in turn, each one
+        product with the rows solved before it and one solve of the block."""
+        L, t = self._L, self._factor_ids.size
+        X = np.empty(R.shape)
+        s = lo
+        while s < t:
+            e = min(t, (s // _BLOCK + 1) * _BLOCK)
+            r = R[s - lo:e - lo] - L[s:e, lo:s] @ X[:s - lo] if s > lo else R[:e - lo]
+            if e - s == _BLOCK:
+                X[s - lo:e - lo] = self._block_inverse(s) @ r
+            else:
+                X[s - lo:e - lo] = np.linalg.solve(L[s:e, s:e], r)
+            s = e
+        return X
+
+    def _upper(self, Z):
+        """Y with L' Y = Z, L the factor: its diagonal blocks last to first,
+        each one product with the rows solved after it and one solve."""
+        L, t = self._L, self._factor_ids.size
+        Y = np.empty(Z.shape)
+        e = t
+        while e > 0:
+            s = (e - 1) // _BLOCK * _BLOCK
+            r = Z[s:e] - L[e:t, s:e].T @ Y[e:t] if e < t else Z[s:e]
+            if e - s == _BLOCK:
+                Y[s:e] = self._block_inverse(s).T @ r
+            else:
+                Y[s:e] = np.linalg.solve(L[s:e, s:e].T, r)
+            e = s
+        return Y
 
     def support(self):
         return np.flatnonzero(self.w)
@@ -429,30 +529,51 @@ def _polish(state):
 
 # -- hedge and friends ------------------------------------------------------
 
-def _augmented_solve(G_S, top):
-    """Solve [[G_S, 1], [1', 0]] [v; c] = [top; 1] for the vector top.
+def _augmented_solves(G_S, top):
+    """Solve [[G_S, 1], [1', 0]] [v; c] = [top; 1] for each system of a
+    stack: G_S is (b, s, s) and top (b, s).
 
-    Raises NotPrunable when a pivot falls under SINGULARITY_RTOL relative to
-    the largest entry. The system is never regularized.
+    Gaussian elimination with partial pivoting, the right-hand side carried
+    along, then back substitution. Returns (ok, v, c): ok marks the systems
+    whose every pivot is finite and exceeds SINGULARITY_RTOL times the
+    system's largest entry (at least 1, the border's), and v, c solve those,
+    in stack order. A system is never regularized.
     """
-    s = G_S.shape[0]
-    M = np.zeros((s + 1, s + 1))
-    M[:s, :s] = G_S
-    M[:s, s] = 1.0
-    M[s, :s] = 1.0
-    rhs = np.append(np.asarray(top, dtype=float), 1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # scipy warns on exact zero pivots
-        lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    scale = float(np.max(np.abs(M)))
-    if float(pivots.min()) <= SINGULARITY_RTOL * max(scale, 1.0):
+    b, s = np.shape(top)
+    n = s + 1
+    A = np.zeros((b, n, n + 1))
+    A[:, :s, :s] = G_S
+    A[:, :s, s] = A[:, s, :s] = A[:, s, n] = 1.0
+    A[:, :s, n] = top
+    scale = np.abs(A[:, :, :n]).max(axis=(1, 2))
+    pivots = np.empty((b, n))
+    stack = np.arange(b)
+    # a singular system's rows may overflow on the way; it is dropped below
+    with np.errstate(all="ignore"):
+        for j in range(n):
+            p = j + np.argmax(np.abs(A[:, j:, j]), axis=1)
+            A[stack, j], A[stack, p] = A[stack, p], A[stack, j].copy()
+            pivots[:, j] = np.abs(A[:, j, j])
+            f = A[:, j + 1:, j] / A[:, j, j, None]
+            A[:, j + 1:, j:] -= f[:, :, None] * A[:, None, j, j:]
+    ok = np.isfinite(pivots).all(axis=1) & (pivots.min(axis=1) > SINGULARITY_RTOL * scale)
+    U = A[ok]
+    x = np.empty((U.shape[0], n))
+    for j in range(n - 1, -1, -1):
+        x[:, j] = (U[:, j, n] - np.einsum("bi,bi->b", U[:, j, j + 1:n], x[:, j + 1:])) / U[:, j, j]
+    return ok, x[:, :s], x[:, s]
+
+
+def _augmented_solve(G_S, top):
+    """The one system of `_augmented_solves` for the vector top: (v, c).
+    Raises NotPrunable when it is singular."""
+    ok, v, c = _augmented_solves(np.asarray(G_S)[None], np.asarray(top, dtype=float)[None])
+    if not ok[0]:
         raise NotPrunable(
-            "augmented system is singular (pivot %.3g against scale %.3g)"
-            % (float(pivots.min()), scale)
+            "augmented system is singular (a pivot at most %.0e of its largest entry)"
+            % SINGULARITY_RTOL
         )
-    sol = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
-    return sol[:s], float(sol[s])
+    return v[0], float(c[0])
 
 
 def hedge(kern, psi, A):
@@ -770,7 +891,10 @@ def oracle_solve(kern, psi, K=None, config=None):
     Enumerates every non-empty support candidate, solves its hedge system,
     and keeps solutions that are feasible (weights nonnegative, margins
     nonpositive off the support). The feasible maximum is the optimum by
-    the concavity of the objective. Independent of the iterative solvers.
+    the concavity of the objective; a tie goes to the first subset in the
+    enumeration (by size, then `combinations` order). The subsets of one
+    size are solved as one stack (`_augmented_solves`). Independent of the
+    iterative solvers and of `SolverState`.
     """
     psi = obj.as_psi(psi, kern)
     cfg = config if config is not None else SolveConfig()
@@ -779,30 +903,29 @@ def oracle_solve(kern, psi, K=None, config=None):
         raise TooLarge(
             "oracle enumerates subsets of at most %d points, got %d" % (ORACLE_CAP, len(ids))
         )
-    G = kern.gram
-    pv = psi.values
-    id_arr = np.asarray(ids, dtype=int)
+    members = np.asarray(ids, dtype=int)
+    G = kern.gram[np.ix_(members, members)]
+    pv = psi.values[members]
     best = None
     examined = 0
-    for size in range(1, len(ids) + 1):
-        for S in combinations(range(len(ids)), size):
-            examined += 1
-            sel = id_arr[list(S)]
-            G_S = G[np.ix_(sel, sel)]
-            try:
-                v, c = _augmented_solve(G_S, pv[sel])
-            except NotPrunable:
-                continue
-            if v.min() < -1e-12:
-                continue
-            rest = np.setdiff1d(id_arr, sel)
-            if rest.size:
-                mu_rest = G[np.ix_(rest, sel)] @ v
-                if float((pv[rest] - mu_rest - c).max()) > 1e-9:
-                    continue
-            objective = float(pv[sel] @ v) - float(v @ G_S @ v) / 2.0
-            if best is None or objective > best[0]:
-                best = (objective, sel, v)
+    for size in range(1, members.size + 1):
+        # every subset of this size, in the order `combinations` gives them
+        S = np.array(list(combinations(range(members.size), size)))
+        examined += len(S)
+        G_S = G[S[:, :, None], S[:, None, :]]
+        ok, v, c = _augmented_solves(G_S, pv[S])
+        S, G_S = S[ok], G_S[ok]
+        margins = pv - np.einsum("bjn,bj->bn", G[S], v) - c[:, None]
+        margins[np.arange(len(S))[:, None], S] = -np.inf  # the support's own
+        feasible = (v.min(axis=1) >= -1e-12) & (margins.max(axis=1) <= 1e-9)
+        if not feasible.any():
+            continue
+        objective = np.where(
+            feasible, np.einsum("bi,bi->b", pv[S], v)
+            - np.einsum("bi,bij,bj->b", v, G_S, v) / 2.0, -np.inf)
+        i = int(np.argmax(objective))  # the first of a tie, as in the enumeration
+        if best is None or objective[i] > best[0]:
+            best = (float(objective[i]), members[S[i]], v[i])
     if best is None:
         raise NoProgress("oracle found no feasible support; input is inconsistent")
     _, sel, v = best

@@ -760,3 +760,26 @@ def test_debug_log_names_the_psd_gates_route(problem_file, tmp_path):
     assert len(lines["fock"]) == len(lines["euclidean"]) == 1
     assert " rounding bound " in lines["fock"][0] and "no eigvalsh" in lines["fock"][0]
     assert " lowest eigenvalue " in lines["euclidean"][0]
+
+
+def test_the_runtime_needs_no_scipy(problem_file, ring_mask, tmp_path):
+    """With `scipy` unimportable (`sys.modules["scipy"] = None`), solve,
+    portfolio and maze each run to exit 0 in a fresh interpreter: the
+    package runs on numpy alone."""
+    returns = tmp_path / "returns.csv"
+    returns.write_text("asset_a,asset_b\n0.3,-0.1\n0.1,0.1\n0.2,0.0\n")
+    runs = {
+        "solve": ["solve", "--input", problem_file],
+        "portfolio": ["portfolio", "--returns", str(returns), "--risk-free", "0.02"],
+        "maze": ["maze", "--mask", ring_mask, "--cell-size", "0.05", "--path",
+                 str(tmp_path / "path.csv")],
+    }
+    script = ("import sys; sys.modules['scipy'] = None; "
+              "from topiary.cli import main; main(sys.argv[1:])")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.join(root, "src"), os.environ.get("PYTHONPATH")) if p))
+    for name, argv in runs.items():
+        proc = subprocess.run([sys.executable, "-c", script] + argv, capture_output=True,
+                              text=True, env=env, cwd=str(tmp_path), timeout=120)
+        assert proc.returncode == 0, (name, proc.stderr)

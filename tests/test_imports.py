@@ -1,21 +1,25 @@
 """The import path and the public names of the package, pinned.
 
-`import topiary` is most of a short job's start-up time (scipy.linalg alone
-takes about a quarter of a second), so a new module-level import is an edit
-to this set, to be backed by a measurement of that start-up time. A name
+`import topiary` is most of a short job's start-up time (numpy alone takes
+about a twentieth of a second, and scipy.linalg, which the package no longer
+imports, took three times that), so a new module-level import is an edit to
+this set, to be backed by a measurement of that start-up time. A name
 added to or removed from the `topiary` namespace is an edit to PUBLIC_NAMES,
 so every change of the package's API shows in the diff.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 import types
 
 import topiary
 
 MODULE_LEVEL_IMPORTS = {
     "argparse", "contextlib", "csv", "dataclasses", "functools", "io", "itertools", "json",
-    "logging", "math", "numbers", "numpy", "os", "scipy.linalg", "sys", "tempfile", "typing",
+    "logging", "math", "numbers", "numpy", "os", "sys", "tempfile", "typing",
     "warnings",
 }
 
@@ -75,3 +79,14 @@ def test_the_package_exports_a_fixed_set_of_names():
     names = {n for n in dir(topiary)
              if not n.startswith("_") and not isinstance(getattr(topiary, n), types.ModuleType)}
     assert names == PUBLIC_NAMES
+
+
+def test_the_command_line_loads_no_scipy():
+    """A fresh interpreter that imports the command line has no scipy module
+    loaded, at the top or below it."""
+    probe = "import sys, topiary.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(pathlib.Path(topiary.__file__).parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -551,6 +551,21 @@ def test_duplicate_detection_does_not_overflow(algorithm):
     assert top <= r.margin_tol and floor >= -r.margin_tol
 
 
+def test_a_gram_below_unit_scale_rounds_relative_to_its_scale():
+    """The rows of 1e-13 I agree to 12 absolute decimals, yet they are three
+    distinct points. Rounded relative to the Gram's scale they form no
+    group, and every algorithm certifies over the ground set itself, not
+    only over the representatives, at margin_tol 1e-20."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k = tp.explicit_gram(1e-13 * np.eye(3))
+    assert k.duplicate_groups() == []
+    for algorithm in tp.ALGORITHMS:
+        r = tp.solve(k, None, tp.SolveConfig(algorithm=algorithm, margin_tol=1e-20))
+        assert list(r.support()) == [0, 1, 2]
+        assert tp.margin_table(r.measure, None, k).score <= 1e-20
+
+
 def _reference_groups(G):
     """The duplicate rule on the whole array at once: rows rounded to 12
     decimals (an entry the rounding overflows keeps its value, -0.0 becomes

@@ -436,6 +436,64 @@ def test_support_factor_stays_accurate_over_appends_alone():
     assert np.max(np.abs(L @ L.T - H)) <= 4 * np.max(np.abs(fresh @ fresh.T - H))
 
 
+def _longdouble_lower(L, R):
+    """X with L X = R for lower triangular L, by row-by-row forward
+    substitution in np.longdouble."""
+    L, R = L.astype(np.longdouble), R.astype(np.longdouble)
+    X = np.zeros_like(R)
+    for i in range(len(L)):
+        X[i] = (R[i] - L[i, :i] @ X[:i]) / L[i, i]
+    return X
+
+
+def _wishart_factor():
+    """500 atoms of a Wishart Gram with n = 600 bordered at once; the first
+    of them dropped, which refactors the other 499; then 20 more appended
+    one at a time: blocks cached by the first factor, renewed by the
+    refactor, and one completed by the appends."""
+    rng = np.random.default_rng(67)
+    kern, psi = random_instance(rng, 600)
+    order = rng.permutation(600)
+    st = tp.SolverState(kern, psi)
+    assert st._cover(order[:500]) is None
+    for k in range(500, 521):
+        assert st._cover(order[1:k]) is None
+    return st
+
+
+def _fock_disk_factor():
+    """400 Fock points spread over the disk of radius 4: the factor takes
+    atoms until the pivot rule names one, with H's condition past 1e10."""
+    rng = np.random.default_rng(68)
+    z = 4.0 * np.sqrt(rng.uniform(0.0, 1.0, 400)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 400))
+    st = tp.SolverState(tp.fock(z), None)
+    assert st._cover(np.arange(400)) is not None
+    L = st._factor
+    assert np.linalg.cond(L @ L.T) > 1e10
+    return st
+
+
+@pytest.mark.parametrize("make", [_wishart_factor, _fock_disk_factor], ids=["wishart", "fock"])
+def test_blocked_substitution_against_a_longdouble_reference(make):
+    """The support factor's blocked forward and back substitutions, through
+    the cached inverse of each full 32-row diagonal block, on a factor over
+    32 atoms: the residuals of L X = R and L'Y = R, taken in np.longdouble,
+    stay within t eps of |L||X| (the bound of plain substitution), and X
+    is within 1e-12 of the long-double solution."""
+    st = make()
+    L = st._factor
+    t = L.shape[0]
+    assert t > 32 and sorted(st._inverses) == list(range(0, t - 31, 32))
+    R = np.random.default_rng(69).standard_normal((t, 3))
+    Lq = L.astype(np.longdouble)
+    for A, X in ((Lq, st._lower(R)), (Lq.T, st._upper(R))):
+        residual = np.abs(A @ X - R).max()
+        assert residual <= t * np.finfo(float).eps * (np.abs(A) @ np.abs(X)).max()
+    X = st._lower(R)
+    reference = _longdouble_lower(L, R)
+    assert np.abs(X - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
 def test_near_duplicate_twins_walk_their_ray(named_atoms):
     """Two points 1e-7 apart have no hedge: the factor names the second
     twin, the exchange step walks the twins' ray until one twin drops out,
