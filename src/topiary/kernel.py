@@ -234,6 +234,7 @@ class Kernel:
     Kernel computes their Gram, the matrix ERRORS bounds, only after its
     emptiness and label checks. A float array passed as `gram` (by
     `explicit_gram`) becomes the Kernel's own: symmetrized in place, frozen.
+    `max_diagonal` is the Gram's largest diagonal entry, its scale.
     """
 
     def __init__(self, variant, gram=None, labels=None, _coords=None):
@@ -252,8 +253,12 @@ class Kernel:
         checked_gram(G, ERRORS[variant](np.abs(_coords)) if variant in ERRORS else None)
         G.setflags(write=False)
         self._gram = G
+        # the Gram's scale, which the duplicate rule and the solver's pivot
+        # rule each read under their own clamp
+        self.max_diagonal = float(np.max(np.diagonal(G)))
 
-        self._duplicates = _duplicate_groups(G)
+        scale = self.max_diagonal if 0.0 < self.max_diagonal < 1.0 else 1.0
+        self._duplicates = _duplicate_groups(G, scale)
         if self._duplicates:
             warnings.warn(
                 "ground set contains %d group(s) of duplicate points (equal "
@@ -365,17 +370,16 @@ def _grouped(G, ids, key, out, scale):
     return [group for group in groups.values() if len(group) > 1]
 
 
-def _duplicate_groups(G):
+def _duplicate_groups(G, scale=1.0):
     """Groups (ascending, ordered by first id) of rows of G with equal bytes
-    once rounded to 12 decimals of min(1, s), s the largest diagonal entry:
-    absolute decimals on a Gram of unit scale or more, and relative to the
-    Gram's scale below it, where absolute decimals would join every row of
-    a Gram smaller than 1e-12. Rows are bucketed by hash, which keeps n
-    hashes rather than n rows; a bucket of several rows is then split by
-    their exact bytes, so a hash collision never joins two rows."""
+    once rounded to 12 decimals of scale. The Kernel passes min(1, s), s its
+    largest diagonal entry: absolute decimals on a Gram of unit scale or
+    more, and relative to the Gram's scale below it, where absolute decimals
+    would join every row of a Gram smaller than 1e-12. Rows are bucketed by
+    hash, which keeps n hashes rather than n rows; a bucket of several rows
+    is then split by their exact bytes, so a hash collision never joins two
+    rows."""
     n = len(G)
-    top = float(np.max(np.diagonal(G)))
-    scale = top if 0.0 < top < 1.0 else 1.0
     block = np.empty((max(1, min(n, _TILE * _TILE // n)), n))
     groups = []
     for bucket in _grouped(G, range(n), _row_hash, block, scale):

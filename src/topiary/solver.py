@@ -66,10 +66,11 @@ ORACLE_CAP = 12
 DECONSTRUCT_CAP = 16
 
 # relative pivot threshold below which a system is declared singular: a
-# pivot of the augmented system's elimination (partial pivoting) against its
-# largest entry, and a squared pivot of the support factor against sigma,
-# where the atom lies on the affine hull of the atoms bordered before it and
-# the exchange walks its ray; never regularized silently
+# pivot of the augmented system's elimination (partial pivoting) against the
+# largest entry of its Gram block, and a squared pivot of the support factor
+# against sigma, the Gram's largest diagonal entry, where the atom lies on
+# the affine hull of the atoms bordered before it and the exchange walks its
+# ray; never regularized silently
 SINGULARITY_RTOL = 1e-10
 
 # rows of a diagonal block in the support factor's blocked substitutions
@@ -221,10 +222,8 @@ class SolverState:
         )
         if self.candidates.size == 0:
             raise InvalidInput("no candidates to optimize over")
-        # the Gram's scale: the pivot rule is relative to it at any scale
-        self._sigma = float(np.max(np.diag(self.G)))
-        if not self._sigma > 0.0:
-            self._sigma = 1.0
+        # the Gram's scale: the factor's pivot rule is relative to it
+        self._sigma = kern.max_diagonal if kern.max_diagonal > 0.0 else 1.0
         if not np.isfinite(2.0 * self._sigma):  # bounds every entry of G + sigma
             raise DomainError("Gram diagonal %.3g overflows the support factor" % self._sigma)
 
@@ -249,7 +248,6 @@ class SolverState:
         self._L = np.zeros((0, 0))  # buffer: the factor is its leading block
         self._z = np.zeros((0, 2))  # L^-1 [psi_F, 1], rows in join order
         self._inverses = {}  # first row -> inverse of a full diagonal block
-        self._named = None  # (atom, L^-1 H[F, atom]) of the atom last named
 
     def _to_candidate(self, point_id):
         if point_id in self.candidates:
@@ -286,15 +284,12 @@ class SolverState:
         With z = L^-1 [b...] and z1 = L^-1 1, A = L^-T z and e = L^-T z1 come
         from one back substitution; V = A - e beta' and c = beta + sigma,
         where beta = (z1'z - 1) / z1'z1. L^-1 psi_F and z1 are kept from the
-        borders, and L^-1 G[F, x] = L^-1 H[F, x] - sigma z1 reuses the row
-        that named x, so a cycle makes no other substitution.
+        borders, so only the shifted hedge adds a forward substitution.
         """
         F, sigma = self._factor_ids, self._sigma
         z = self._z[:F.size]
         if x is not None:
-            named = self._named
-            row = named[1] if named and named[0] == x else self._lower(self.G[x, F] + sigma)
-            z = np.column_stack([z[:, 0], row - sigma * z[:, 1], z[:, 1]])
+            z = np.column_stack([z[:, 0], self._lower(self.G[x, F]), z[:, 1]])
         Y = self._upper(z)
         z1 = z[:, -1]
         beta = (z1 @ z[:, :-1] - 1.0) / (z1 @ z1)
@@ -308,7 +303,6 @@ class SolverState:
         the affine hull of the ids bordered before it, which the factor
         then covers."""
         F = self._factor_ids
-        self._named = None
         outside = np.ones(self.w.size, dtype=bool)
         outside[T] = False
         if outside[F].any():
@@ -346,10 +340,7 @@ class SolverState:
         small = np.diagonal(D) ** 2 <= SINGULARITY_RTOL * sigma
         m = int(np.argmax(small)) if small.any() else new.size
         self._append(new[:m], B[:, :m], D[:m, :m])
-        if m == new.size:
-            return None
-        self._named = (int(new[m]), np.concatenate([B[:, m], D[m, :m]]))
-        return self._named[0]
+        return None if m == new.size else int(new[m])
 
     def _append(self, new, B, D):
         """Write the rows [B' D] of the atoms new into the factor and extend
@@ -533,19 +524,24 @@ def _augmented_solves(G_S, top):
     """Solve [[G_S, 1], [1', 0]] [v; c] = [top; 1] for each system of a
     stack: G_S is (b, s, s) and top (b, s).
 
-    Gaussian elimination with partial pivoting, the right-hand side carried
-    along, then back substitution. Returns (ok, v, c): ok marks the systems
-    whose every pivot is finite and exceeds SINGULARITY_RTOL times the
-    system's largest entry (at least 1, the border's), and v, c solve those,
-    in stack order. A system is never regularized.
+    Each system is bordered with sigma, the largest |entry| of its G_S (1
+    when that is 0), as [[G_S, sigma 1], [sigma 1', 0]] [v; c / sigma] =
+    [top; sigma], so its largest entry is sigma at every scale. Gaussian
+    elimination with partial pivoting, the right-hand side carried along,
+    then back substitution. Returns (ratio, ok, v, c): ratio is each
+    system's smallest pivot over sigma, ok marks the systems whose every
+    pivot is finite and whose ratio exceeds SINGULARITY_RTOL, and v, c solve
+    those, in stack order. A system is never regularized.
     """
     b, s = np.shape(top)
     n = s + 1
+    sigma = np.abs(G_S).max(axis=(1, 2))
+    sigma[sigma == 0.0] = 1.0
     A = np.zeros((b, n, n + 1))
     A[:, :s, :s] = G_S
-    A[:, :s, s] = A[:, s, :s] = A[:, s, n] = 1.0
+    A[:, :s, s] = A[:, s, :s] = sigma[:, None]
+    A[:, s, n] = sigma
     A[:, :s, n] = top
-    scale = np.abs(A[:, :, :n]).max(axis=(1, 2))
     pivots = np.empty((b, n))
     stack = np.arange(b)
     # a singular system's rows may overflow on the way; it is dropped below
@@ -556,22 +552,24 @@ def _augmented_solves(G_S, top):
             pivots[:, j] = np.abs(A[:, j, j])
             f = A[:, j + 1:, j] / A[:, j, j, None]
             A[:, j + 1:, j:] -= f[:, :, None] * A[:, None, j, j:]
-    ok = np.isfinite(pivots).all(axis=1) & (pivots.min(axis=1) > SINGULARITY_RTOL * scale)
+        ratio = pivots.min(axis=1) / sigma
+    ok = np.isfinite(pivots).all(axis=1) & (ratio > SINGULARITY_RTOL)
     U = A[ok]
     x = np.empty((U.shape[0], n))
     for j in range(n - 1, -1, -1):
         x[:, j] = (U[:, j, n] - np.einsum("bi,bi->b", U[:, j, j + 1:n], x[:, j + 1:])) / U[:, j, j]
-    return ok, x[:, :s], x[:, s]
+    return ratio, ok, x[:, :s], x[:, s] * sigma[ok]
 
 
 def _augmented_solve(G_S, top):
     """The one system of `_augmented_solves` for the vector top: (v, c).
     Raises NotPrunable when it is singular."""
-    ok, v, c = _augmented_solves(np.asarray(G_S)[None], np.asarray(top, dtype=float)[None])
+    ratio, ok, v, c = _augmented_solves(
+        np.asarray(G_S)[None], np.asarray(top, dtype=float)[None])
     if not ok[0]:
         raise NotPrunable(
-            "augmented system is singular (a pivot at most %.0e of its largest entry)"
-            % SINGULARITY_RTOL
+            "augmented system is singular (smallest pivot %.3g of its scale, rule %.0e)"
+            % (ratio[0], SINGULARITY_RTOL)
         )
     return v[0], float(c[0])
 
@@ -913,7 +911,7 @@ def oracle_solve(kern, psi, K=None, config=None):
         S = np.array(list(combinations(range(members.size), size)))
         examined += len(S)
         G_S = G[S[:, :, None], S[:, None, :]]
-        ok, v, c = _augmented_solves(G_S, pv[S])
+        _, ok, v, c = _augmented_solves(G_S, pv[S])
         S, G_S = S[ok], G_S[ok]
         margins = pv - np.einsum("bjn,bj->bn", G[S], v) - c[:, None]
         margins[np.arange(len(S))[:, None], S] = -np.inf  # the support's own

@@ -1,9 +1,8 @@
 """The import path and the public names of the package, pinned.
 
-`import topiary` is most of a short job's start-up time (numpy alone takes
-about a twentieth of a second, and scipy.linalg, which the package no longer
-imports, took three times that), so a new module-level import is an edit to
-this set, to be backed by a measurement of that start-up time. A name
+`import topiary` is most of a short job's start-up time, so a new
+module-level import is an edit to this set, to be backed by a measurement
+of that start-up time (the benchmark's `setup_s`). A name
 added to or removed from the `topiary` namespace is an edit to PUBLIC_NAMES,
 so every change of the package's API shows in the diff.
 """

@@ -555,7 +555,9 @@ def test_a_gram_below_unit_scale_rounds_relative_to_its_scale():
     """The rows of 1e-13 I agree to 12 absolute decimals, yet they are three
     distinct points. Rounded relative to the Gram's scale they form no
     group, and every algorithm certifies over the ground set itself, not
-    only over the representatives, at margin_tol 1e-20."""
+    only over the representatives, at margin_tol 1e-20. The augmented
+    system's pivot rule is relative to the same scale: the hedge of all
+    three points is their uniform measure, and the oracle agrees."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         k = tp.explicit_gram(1e-13 * np.eye(3))
@@ -564,6 +566,13 @@ def test_a_gram_below_unit_scale_rounds_relative_to_its_scale():
         r = tp.solve(k, None, tp.SolveConfig(algorithm=algorithm, margin_tol=1e-20))
         assert list(r.support()) == [0, 1, 2]
         assert tp.margin_table(r.measure, None, k).score <= 1e-20
+    h, c = tp.hedge(k, None, [0, 1, 2])
+    assert np.allclose(h.as_vector(3), 1.0 / 3.0, rtol=1e-12, atol=0.0)
+    assert c == pytest.approx(-1e-13 / 3.0, rel=1e-12)
+    assert tp.prune_set(k, None, [0, 1, 2]) == ()
+    oracle = tp.oracle_solve(k, None, config=tp.SolveConfig(margin_tol=1e-20))
+    assert list(oracle.support()) == [0, 1, 2]
+    assert oracle.score <= 1e-20
 
 
 def _reference_groups(G):
