@@ -435,34 +435,29 @@ def read_mask(path):
 
 
 def _parse_mask(text):
-    lines = [ln.rstrip() for ln in text.splitlines()]
+    """Each line is checked at C speed, its width and then whether anything
+    but '#' and '.' is left once both are removed; only a bad line is
+    scanned character by character, to name its column."""
+    lines = text.splitlines()
     stripped = [ln for ln in lines if ln.strip()]
     if not stripped:
         raise InvalidInput("empty mask file")
     if stripped[0].strip() == "P1":
         return _read_pbm(text)
     rows = []
-    width = None
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
         cells = line.strip()
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
+        if not cells:
+            continue
+        if rows and len(cells) != len(rows[0]):
             raise InvalidInput(
-                "line %d has %d cells, expected %d" % (lineno, len(cells), width))
-        row = []
-        for col, ch in enumerate(cells):
-            if ch == "#":
-                row.append(True)
-            elif ch == ".":
-                row.append(False)
-            else:
-                raise InvalidInput(
-                    "line %d column %d: %r is not '#' or '.'" % (lineno, col + 1, ch))
-        rows.append(row)
-    return np.array(rows, dtype=bool)
+                "line %d has %d cells, expected %d" % (lineno, len(cells), len(rows[0])))
+        if cells.replace("#", "").replace(".", ""):
+            col, ch = next((col, ch) for col, ch in enumerate(cells, start=1) if ch not in "#.")
+            raise InvalidInput("line %d column %d: %r is not '#' or '.'" % (lineno, col, ch))
+        rows.append(cells)
+    grid = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8) == ord("#")
+    return grid.reshape(len(rows), len(rows[0]))
 
 
 def _read_pbm(text):

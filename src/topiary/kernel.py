@@ -94,13 +94,20 @@ def euclidean_pairing(A, B):
     return A @ B.T
 
 
-def _products(A, B):
+def _products(A, B, paired=False):
     """The float output of a complex pairing of A with B, and a generator
     over blocks of its rows: (U, out), U = A_rows x conj(B) and out the rows
     of the output it fills, max(1, _TILE * _TILE // size(B)) rows at a time,
     so no temporary is larger than a block. A single point as A or B makes
-    one block."""
+    one block. With paired, A and B have one shape and the output pairs them
+    entry by entry, f(A, B)[i] = k(A[i], B[i]), in one block, through the
+    same complex product as the outer pairing: fock_pairing(Z, Z, True) is
+    the diagonal of fock(Z)'s Gram without the Gram (a test checks the
+    bits)."""
     A, Bc = np.asarray(A), np.conj(B)
+    if paired:
+        G = np.empty(A.shape)
+        return G, iter([(A * Bc, G)])
     G = np.empty(A.shape + Bc.shape)
     if G.ndim < 2:
         return G, iter([(np.multiply.outer(A, Bc), G)])
@@ -109,7 +116,7 @@ def _products(A, B):
                for s in range(0, len(A), step))
 
 
-def fock_pairing(A, B):
+def fock_pairing(A, B, paired=False):
     # max|A| max|B| is the largest |z conj(w)| over all pairs
     big = float(np.max(np.abs(A), initial=0.0) * np.max(np.abs(B), initial=0.0))
     if big > FOCK_EXPONENT_GUARD:
@@ -117,7 +124,7 @@ def fock_pairing(A, B):
             "fock kernel overflow: |z*conj(w)| = %g exceeds %g (max admissible "
             "point radius %.4f)" % (big, FOCK_EXPONENT_GUARD, np.sqrt(FOCK_EXPONENT_GUARD))
         )
-    G, blocks = _products(A, B)
+    G, blocks = _products(A, B, paired)
     for U, out in blocks:
         np.exp(U.real, out=out)
         out *= np.cos(U.imag)

@@ -6,9 +6,13 @@ the gradient of that potential traces a path from the origin to infinity.
 That potential is the real part of one analytic function G, whose terms are
 built once from the solved atoms and the target; the potential field, the
 conjugate field and the path's gradient all read G.
-A MazeResult keeps what the solve produced, not its Fock kernel: a job that
-draws fields and traces a path after the solve holds no Gram, and
-`MazeResult.kernel` builds the same Gram again on first access.
+The solve runs on a working set of cells, first the discrete boundary,
+where the paper places an optimal measure's support: the Fock Gram is built
+over the working set alone, the margins over every cell come from the
+support's columns, and a cell whose margin fails joins the working set until
+none does. The result is certified over every cell. A MazeResult keeps what
+the solve produced, not a Fock kernel: a maze job never forms the Gram over
+every cell, and `MazeResult.kernel` builds it on first access.
 Coordinates are rescaled before solving so the kernel stays conditioned;
 every exported quantity is mapped back to the input frame.
 """
@@ -16,7 +20,7 @@ every exported quantity is mapped back to the input frame.
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -24,15 +28,19 @@ import numpy as np
 from . import measure as msr
 from . import objective as obj
 from .errors import (
+    CycleDetected,
     DomainError,
     EmptyMask,
     InvalidInput,
+    MaxIterExceeded,
+    MonotonicityError,
+    NoProgress,
     StartInsideObstacle,
     integer,
     real,
     reals,
 )
-from .kernel import fock
+from .kernel import fock, fock_pairing
 from .solver import SolveConfig, TopiaryResult, solve
 
 MAZE_MARGIN_TOL = 1e-6  # rasterization dominates error well above solver tolerance
@@ -84,9 +92,9 @@ class Field:
 
 @dataclass(frozen=True)
 class MazeResult:
-    """What `solve_maze` produced; the Fock kernel it solved with is not
-    kept, and `kernel` rebuilds it from the points and scale on first
-    access."""
+    """What `solve_maze` produced, in cell ids over every cell; no Fock
+    kernel is kept, and `kernel` builds the one over every cell from the
+    points and scale on first access."""
 
     spec: MazeSpec
     points: Tuple[complex, ...]  # cell centers, input frame
@@ -99,7 +107,9 @@ class MazeResult:
 
     @functools.cached_property
     def kernel(self):
-        """The fock kernel over the scaled points, the one the solve used."""
+        """The fock kernel over every scaled cell center. The solve never
+        forms it: its Gram's block on the solve's working set W,
+        kernel.gram[ix_(W, W)], is bit for bit the Gram the solve used."""
         return fock(np.asarray(self.points) * self.scale)
 
 
@@ -140,25 +150,125 @@ def _containing_cell(spec, z, points):
     return int(hits[0]) if hits.size else None
 
 
+# the solver's failures that carry a partial result
+_PARTIAL = (NoProgress, CycleDetected, MaxIterExceeded, MonotonicityError)
+
+
+def _over_cells(Z, psi, diag, measure, G_S):
+    """The margin table of measure over every cell, from the columns of its
+    atoms, fock_pairing(Z, Z[ids]) @ w: n x s entries and no n x n array.
+    G_S is the Gram over the atoms, giving ||mu||^2 as the full Gram would."""
+    ids, w = measure.ids, measure.weights
+    mu = fock_pairing(Z, Z[ids]) @ w
+    nsq = max(0.0, float(w @ G_S @ w))
+    return obj.MarginTable.tabulate(
+        psi, mu, float(np.dot(w, psi[ids])), nsq, np.arange(len(Z)), diag
+    )
+
+
+def _in_cells(res, W, Z, psi, diag, G_W, iterations, rows):
+    """The result res of a solve on the cells W as a result over every cell:
+    its atoms renamed to cell ids and its table built over all cells, with
+    the iterations of every round and their trace rows up to it."""
+    m = res.measure
+    measure = msr.AtomicMeasure(tuple((int(W[i]), w) for i, w in m.atoms), m.kind)
+    table = _over_cells(Z, psi, diag, measure, G_W[np.ix_(m.ids, m.ids)])
+    if rows is not None:
+        rows += tuple(replace(
+            row, iteration=row.iteration + iterations - res.iterations,
+            added_point=None if row.added_point is None else int(W[row.added_point]),
+            dropped_points=tuple(int(W[d]) for d in row.dropped_points),
+        ) for row in res.trace)
+    result = TopiaryResult.from_table(
+        measure, table, res.margin_tol, iterations, res.algorithm, rows
+    )
+    return result, table
+
+
+def _solve_cells(Z, psi, diag, cfg, W):
+    """(result, final W): the optimal measure over every cell of Z, solved
+    on the working set W of cell ids and certified over all of them; diag
+    holds k(z, z) over the cells.
+
+    Each round builds the Fock kernel of Z[W] alone and solves on it; the
+    margins over every cell then come from the support's columns. Every
+    cell outside W whose margin exceeds margin_tol joins W, and the round
+    repeats until none does (column generation). The rounds share the
+    iteration budget max_iter, and the result's iterations and trace sum
+    them. A failure on W re-raises with its partial result over every cell;
+    a measure that certifies on W but not over every cell, with no cell
+    outside W to add, raises NoProgress.
+    """
+    n = len(Z)
+    seed = cfg.seed_point
+    if seed is not None:
+        if not 0 <= seed < n:
+            raise InvalidInput("seed point %d is not a candidate" % seed)
+        W = np.union1d(W, [seed])
+    W = np.asarray(W, dtype=int)
+    used, rows = 0, () if cfg.trace else None
+    while True:
+        kern = fock(Z[W])
+        local = replace(
+            cfg, max_iter=cfg.max_iter - used,
+            seed_point=None if seed is None else int(np.searchsorted(W, seed)),
+        )
+        try:
+            res = solve(kern, psi.values[W], local)
+        except _PARTIAL as exc:
+            exc.result = _in_cells(exc.result, W, Z, psi.values, diag, kern.gram,
+                                   used + exc.result.iterations, rows)[0]
+            raise
+        used += res.iterations
+        result, table = _in_cells(res, W, Z, psi.values, diag, kern.gram, used, rows)
+        rows = result.trace
+        outside = np.ones(n, dtype=bool)
+        outside[W] = False
+        joins = np.flatnonzero(outside & (table.margins > cfg.margin_tol))
+        if joins.size == 0:
+            break
+        if used >= cfg.max_iter:
+            raise MaxIterExceeded("%s hit max_iter %d with score %.3g over every cell"
+                                  % (cfg.algorithm, cfg.max_iter, result.score), result=result)
+        W = np.union1d(W, joins)
+    if not table.certifies(result.measure.ids, cfg.margin_tol):
+        exc = NoProgress("the solve on %d of %d cells certifies on them but not over "
+                         "every cell (score %.3g)" % (W.size, n, result.score))
+        exc.result = result
+        raise exc
+    return result, W
+
+
 def solve_maze(spec, config=None):
     """Solve the obstacle topiary; psi = 0, or the target's kernel row.
 
+    The solve runs on a working set W of cells, first the
+    `discrete_boundary` cells, where the paper places the support: the Fock
+    Gram is built over W alone (about 220 of 700 cells on the benchmark
+    ring). A cell outside W whose margin then exceeds margin_tol joins W and
+    the solve repeats until none does; `iterations` sums every round. The
+    result is certified over every cell, or the solver's error is raised
+    with its partial result over every cell.
+
     Degenerate placements short-circuit: an origin or target lying inside an
-    obstacle cell gets a point mass there with zero iterations, the origin
-    taking precedence (the target is then not looked up).
+    obstacle cell gets a point mass there with zero iterations, evaluated
+    from that cell's column, the origin taking precedence (the target is
+    then not looked up).
     """
     points, cells = _cell_centers(spec)
     radius = float(np.abs(points).max())
     scale = min(1.0, FOCK_SAFE_RADIUS / radius) if radius > 0 else 1.0
     escape = ESCAPE_FACTOR * radius if spec.escape_radius == "auto" else spec.escape_radius
-    kern = fock(points * scale)
+    Z = points * scale
     cfg = config if config is not None else SolveConfig(
         algorithm="exchange", margin_tol=MAZE_MARGIN_TOL
     )
     if spec.target is not None:
-        psi = obj.PsiSpec.point_kernel(complex(spec.target) * scale, kern)
+        alpha = complex(spec.target) * scale
+        psi = obj.PsiSpec(fock_pairing(Z, alpha),
+                          norm=math.sqrt(max(0.0, float(fock_pairing(alpha, alpha)))))
     else:
-        psi = obj.PsiSpec.zero(kern)
+        psi = obj.PsiSpec(np.zeros(len(Z)), norm=0.0)
 
     trichotomy, cell = "solved", None
     for name, z in (("origin-in-obstacle", 0j), ("target-in-obstacle", spec.target)):
@@ -166,12 +276,14 @@ def solve_maze(spec, config=None):
         if cell is not None:
             trichotomy = name
             break
+    diag = fock_pairing(Z, Z, paired=True)  # bit for bit the full Gram's diagonal
     if cell is None:
-        result = solve(kern, psi, cfg)
+        W = np.flatnonzero(discrete_boundary(spec.mask)[spec.mask])
+        result, _ = _solve_cells(Z, psi, diag, cfg, W)
     else:
-        result = TopiaryResult.evaluate(
-            msr.delta(cell), psi, kern, cfg.margin_tol, 0, cfg.algorithm
-        )
+        delta = msr.delta(cell)
+        table = _over_cells(Z, psi.values, diag, delta, np.array([[diag[cell]]]))
+        result = TopiaryResult.from_table(delta, table, cfg.margin_tol, 0, cfg.algorithm)
     return MazeResult(
         spec=spec,
         points=tuple(complex(p) for p in points),
@@ -189,7 +301,8 @@ def _terms(mres):
     G(z) = sum_j c_j e^{z q_j}, z in the scaled frame, so iota = Re G - r.
 
     Each nonzero atom p_j enters with c = -w_j and q = conj(p_j * scale); the
-    target alpha, when set, with c = +1 and q = conj(alpha * scale). The
+    target alpha, when set, with c = +1 and q = conj(alpha * scale). The atoms
+    are cell ids over every cell, whatever working set the solve used, and the
     margin is this real part because `solve_maze` solves with the Fock kernel.
     """
     m = mres.result.measure

@@ -90,17 +90,20 @@ class MarginTable:
     lin: float  # integral(psi d mu)
 
     @classmethod
-    def tabulate(cls, psi_values, mu, lin, nsq, cand, G):
+    def tabulate(cls, psi_values, mu, lin, nsq, cand, diag):
         """The table of a measure from its Gram product (mu over the ground
         set, lin, nsq = ||mu||^2); score and argmax range over the ids cand,
-        ties broken as `score` documents."""
+        ties broken as `score` documents. diag holds k(x, x) over the ground
+        set, the Gram's diagonal: the tie rule is the only reader of the Gram
+        here, so a table over points whose Gram was never formed needs only
+        the diagonal."""
         rate = lin - nsq
         iota = psi_values - mu - rate
         vals = iota[cand]
         best = float(vals.max())
         tied = cand[vals == best]
         if tied.size > 1 and best > 0.0:
-            d2 = G[tied, tied] - 2.0 * mu[tied] + nsq
+            d2 = diag[tied] - 2.0 * mu[tied] + nsq
             gains = np.where(d2 > ZERO_TOL, best * best / (2.0 * np.maximum(d2, ZERO_TOL)), np.inf)
             tied = tied[gains == gains.max()]
         return cls(
@@ -121,7 +124,7 @@ class MarginTable:
         mu = w @ G[ids]  # rows: G is exactly symmetric
         lin = float(np.dot(w, psi_values[ids]))
         nsq = max(0.0, float(w @ G[np.ix_(ids, ids)] @ w))
-        return cls.tabulate(psi_values, mu, lin, nsq, cand, G)
+        return cls.tabulate(psi_values, mu, lin, nsq, cand, np.diagonal(G))
 
     def certifies(self, support, tol):
         """Score at most tol and every margin on the ids support at least

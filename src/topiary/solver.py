@@ -265,7 +265,7 @@ class SolverState:
         mu = self.w[sup] @ self.G[sup]  # rows: G is exactly symmetric
         self.table = obj.MarginTable.tabulate(
             self.psi_values, mu, float(self.psi_values[sup] @ self.w[sup]),
-            float(self.w[sup] @ mu[sup]), self.candidates, self.G
+            float(self.w[sup] @ mu[sup]), self.candidates, np.diagonal(self.G)
         )
 
     @property

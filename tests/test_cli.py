@@ -625,7 +625,9 @@ def test_maze_on_an_ill_conditioned_ring_exits_0(tmp_path, capsys):
 
 def test_the_benchmark_maze_job_holds_little_beyond_its_gram(tmp_path, capsys):
     """The maze-ring job (seed 301, 700 cells) with fields and path peaks
-    under twice its 3.9 MB Gram: no n^2 or per-pixel temporary on the way."""
+    under the 3.9 MB that a Gram over every cell would take: the solve
+    builds its Gram on the boundary cells, and no n^2 or per-pixel
+    temporary comes on the way."""
     mask = tmp_path / "ring301.txt"
     mask.write_text("".join(
         "".join("#" if c else "." for c in row) + "\n" for row in seeded_ring_mask(301)))
@@ -638,12 +640,13 @@ def test_the_benchmark_maze_job_holds_little_beyond_its_gram(tmp_path, capsys):
     assert codes == [0], captured.err
     n = json.loads(captured.out)["cells"]
     assert n == 700
-    assert peak < 2 * 8 * n * n
+    assert peak < 8 * n * n
 
 
 def test_the_benchmark_maze_job_peaks_at_its_solve(tmp_path, capsys):
-    """After the solve the maze job holds no Gram: drawing both fields and
-    tracing the path (seed 301) peak no higher than the solve alone."""
+    """After the solve the maze job holds no Gram: the job (seed 301) peaks
+    no higher than its larger phase alone, the solve or drawing both
+    fields; tracing the path adds nothing."""
     ring = seeded_ring_mask(301)
     mask = tmp_path / "ring301.txt"
     mask.write_text("".join("".join("#" if c else "." for c in row) + "\n" for row in ring))
@@ -651,11 +654,13 @@ def test_the_benchmark_maze_job_peaks_at_its_solve(tmp_path, capsys):
             "--field", str(tmp_path / "field.pgm"), "--conjugate", str(tmp_path / "conj.pgm"),
             "--path", str(tmp_path / "path.csv")]
     spec = mz.MazeSpec(mask=ring, cell_size=0.05)
-    solve_peak = peak_bytes(lambda: mz.solve_maze(spec))
+    solved = []
+    solve_peak = peak_bytes(lambda: solved.append(mz.solve_maze(spec)))
+    fields_peak = peak_bytes(lambda: mz.fields(solved[0]))
     codes = []
     job_peak = peak_bytes(lambda: codes.append(cli.run(argv)))
     assert codes == [0], capsys.readouterr().err
-    assert job_peak <= 1.1 * solve_peak
+    assert job_peak <= 1.1 * max(solve_peak, fields_peak)
 
 
 def test_maze_bad_escape_radius(ring_mask, capsys):

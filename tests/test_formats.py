@@ -318,6 +318,21 @@ def test_read_mask_errors_carry_coordinates(tmp_path):
         fm.read_mask(str(p))
 
 
+def test_read_mask_names_a_bad_character_after_many_good_lines(tmp_path):
+    """Lines are checked whole; a bad one is still reported by line, column
+    and character, and the good lines before it convert row by row."""
+    good = "#." * 30 + "\n"
+    p = tmp_path / "big.txt"
+    p.write_text(good * 500 + "#." * 20 + "#?" + "#." * 9 + "\n" + good)
+    with pytest.raises(tp.InvalidInput) as err:
+        fm.read_mask(str(p))
+    assert str(err.value).endswith("line 501 column 42: '?' is not '#' or '.'")
+    p.write_text(good * 500)
+    mask = fm.read_mask(str(p))
+    assert mask.shape == (500, 60) and mask.dtype == bool
+    assert np.array_equal(mask, np.tile([True, False], (500, 30)))
+
+
 def test_read_returns_preserves_raw_cells(tmp_path):
     p = tmp_path / "r.csv"
     p.write_text("A,B\n0.1,-0.1\noops,0.1\n")

@@ -6,6 +6,7 @@ import pytest
 
 import topiary as tp
 from topiary import maze as mz
+from topiary.kernel import fock_pairing
 
 from conftest import numpy_margins, peak_bytes, seeded_ring_mask, seeded_two_ring_mask
 
@@ -204,6 +205,113 @@ def test_the_result_keeps_no_kernel_and_rebuilds_the_solves_gram():
     expect = tp.fock(tp.rasterize(spec) * m.scale).gram
     assert m.kernel.gram.tobytes() == expect.tobytes()
     assert m.kernel is m.kernel
+
+
+def _cells(m):
+    """The scaled cell centers of a maze result and k(z, z) over them."""
+    Z = np.asarray(m.points) * m.scale
+    return Z, fock_pairing(Z, Z, paired=True)
+
+
+MAZE_CONFIG = tp.SolveConfig(algorithm="exchange", margin_tol=mz.MAZE_MARGIN_TOL)
+
+
+@pytest.mark.parametrize("target", [None, 0.3 + 0.2j])
+@pytest.mark.parametrize("start", ["one ring cell", "half the boundary"])
+def test_a_cell_outside_the_seed_set_violates_and_joins(target, start):
+    """Seeded with one boundary cell, or with every other one, the working
+    set grows by violators until the measure certifies over every cell, as
+    numpy confirms on the full Gram, and the rounds' trace rows name cells
+    and count on. From one cell the support is the full-Gram solve's; from
+    half the boundary a neighbouring cell can stand in for an atom, and the
+    objective is the full solve's within the certificate's gap bound."""
+    spec = tp.MazeSpec(mask=seeded_ring_mask(302), cell_size=0.05, target=target)
+    m = tp.solve_maze(spec)
+    assert m.trichotomy == "solved"
+    boundary = np.flatnonzero(tp.discrete_boundary(spec.mask)[spec.mask])
+    seed_cells = boundary[:1] if start == "one ring cell" else boundary[::2]
+    cfg = dataclasses.replace(MAZE_CONFIG, trace=True)
+    Z, diag = _cells(m)
+    result, W = mz._solve_cells(Z, m.psi, diag, cfg, seed_cells)
+    assert W.size > seed_cells.size and set(seed_cells) <= set(W.tolist())
+    assert not set(result.support()) <= set(seed_cells.tolist())
+    full = tp.solve(m.kernel, m.psi, MAZE_CONFIG)
+    if start == "one ring cell":
+        assert result.support() == full.support()
+    assert abs(result.objective - full.objective) <= mz.MAZE_MARGIN_TOL
+    top, floor = numpy_margins(m.kernel.gram, m.psi.values, result.measure)
+    assert top <= mz.MAZE_MARGIN_TOL and floor >= -mz.MAZE_MARGIN_TOL
+    assert [row.iteration for row in result.trace] == list(range(1, result.iterations + 1))
+    assert {row.added_point for row in result.trace} - {None} <= set(W.tolist())
+
+
+@pytest.mark.parametrize("seed", range(301, 313))
+def test_the_boundary_solve_is_the_full_gram_solve_on_benchmark_rings(seed):
+    """On the benchmark rings the boundary cells are the working set once
+    and for all: the support and iteration count are the full-Gram solve's,
+    the working-set Gram is the [W, W] block of the full one bit for bit,
+    and the certificate holds over every cell of the full Gram."""
+    spec = tp.MazeSpec(mask=seeded_ring_mask(seed), cell_size=0.05)
+    m = tp.solve_maze(spec)
+    full = tp.solve(m.kernel, m.psi, MAZE_CONFIG)
+    assert m.result.support() == full.support()
+    assert m.result.iterations == full.iterations
+    Z, diag = _cells(m)
+    boundary = np.flatnonzero(tp.discrete_boundary(spec.mask)[spec.mask])
+    result, W = mz._solve_cells(Z, m.psi, diag, MAZE_CONFIG, boundary)
+    assert np.array_equal(W, boundary) and result == m.result
+    assert m.kernel.gram[np.ix_(W, W)].tobytes() == tp.fock(Z[W]).gram.tobytes()
+    assert diag.tobytes() == np.diagonal(m.kernel.gram).tobytes()
+    top, floor = numpy_margins(m.kernel.gram, m.psi.values, m.result.measure)
+    assert top <= mz.MAZE_MARGIN_TOL and floor >= -mz.MAZE_MARGIN_TOL
+
+
+@pytest.mark.parametrize("target", [None, 0.3 + 0.2j, 2.0 + 0.5j])
+def test_psi_is_the_full_kernels_without_its_gram(target):
+    """psi over every cell, values and norm, is the full kernel's zero or
+    point-kernel psi bit for bit, though the solve never builds that kernel."""
+    m = tp.solve_maze(tp.MazeSpec(mask=seeded_ring_mask(301), cell_size=0.05, target=target))
+    if target is None:
+        expect = tp.PsiSpec.zero(m.kernel)
+    else:
+        expect = tp.PsiSpec.point_kernel(complex(target) * m.scale, m.kernel)
+    assert m.psi.values.tobytes() == expect.values.tobytes()
+    assert m.psi.norm == expect.norm
+
+
+def test_a_failed_maze_solve_carries_its_partial_over_every_cell():
+    """A solve that fails on the working set re-raises with the same exit
+    code and a partial result whose ids index MazeResult.points: the full
+    solve's partial, tabulated over every cell."""
+    spec = tp.MazeSpec(mask=seeded_ring_mask(301), cell_size=0.05)
+    cfg = dataclasses.replace(MAZE_CONFIG, max_iter=1)
+    with pytest.raises(tp.MaxIterExceeded) as err:
+        tp.solve_maze(spec, cfg)
+    assert tp.exit_code_for(err.value) == 4
+    partial = err.value.result
+    m = tp.solve_maze(spec)
+    with pytest.raises(tp.MaxIterExceeded) as full:
+        tp.solve(m.kernel, m.psi, cfg)
+    expect = full.value.result
+    assert partial.iterations == expect.iterations == 1
+    assert partial.support() == expect.support()
+    assert all(0 <= i < len(m.points) for i in partial.measure.ids)
+    assert partial.measure.weights == pytest.approx(expect.measure.weights, abs=1e-15)
+    table = tp.margin_table(partial.measure, m.psi, m.kernel)
+    assert (partial.rate, partial.score) == pytest.approx((table.rate, table.score), abs=1e-12)
+
+
+def test_an_origin_in_an_obstacle_is_evaluated_from_its_column():
+    """The short-circuit's point mass is tabulated over every cell from one
+    column, as the full kernel's margin table would."""
+    mask = np.ones((5, 5), dtype=bool)
+    m = tp.solve_maze(tp.MazeSpec(mask=mask, cell_size=0.4, origin_offset=0.1 + 0j))
+    assert m.trichotomy == "origin-in-obstacle"
+    table = tp.margin_table(m.result.measure, m.psi, m.kernel)
+    assert (m.result.rate, m.result.objective) == (table.rate, table.objective)
+    assert m.result.score == pytest.approx(table.score, abs=1e-15)
+    assert m.result.index == tp.TopiaryResult.from_table(
+        m.result.measure, table, mz.MAZE_MARGIN_TOL, 0, "exchange").index
 
 
 def test_a_path_from_inside_an_obstacle_is_refused_by_its_trichotomy(monkeypatch):
