@@ -336,9 +336,10 @@ def _cmd_maze(args):
              len(mres.points), mres.trichotomy, len(res.support()))
     files = []
     if args.field or args.conjugate:
-        drawn = mz.fields(mres, resolution=args.field_res)
-        files = [(path, fm.pgm_text(f.raster))
-                 for path, f in zip((args.field, args.conjugate), drawn) if path]
+        # only the rasters are kept, so the fields' values are freed before encoding
+        rasters = [f.raster for f in mz.fields(mres, resolution=args.field_res)]
+        files = [(path, fm.pgm_text(r))
+                 for path, r in zip((args.field, args.conjugate), rasters) if path]
     trace = None
     extra = " trichotomy %s" % mres.trichotomy
     if args.path:

@@ -477,14 +477,27 @@ def _read_pbm(text):
     return np.array(bits, dtype=bool).reshape(height, width)
 
 
-_PGM_WORDS = np.array([str(v) for v in range(256)])
+def _pgm_words():
+    """One four-byte word per value 0..255: its digits right-aligned, zero
+    bytes padding the left, then a separator slot holding a space."""
+    v = np.arange(256)
+    table = np.zeros((256, 4), dtype=np.uint8)
+    table[:, 0] = np.where(v >= 100, ord("0") + v // 100, 0)
+    table[:, 1] = np.where(v >= 10, ord("0") + v // 10 % 10, 0)
+    table[:, 2] = ord("0") + v % 10
+    table[:, 3] = ord(" ")
+    return table.view(np.uint32).ravel()
+
+
+_PGM_WORDS = _pgm_words()
 
 
 def pgm_text(raster):
     """P2 PGM, maxval 255, top raster row first, 17 values a line, so lines
-    stay within 70 chars. The raster must hold integers in 0..255. Its
-    values become words 17 * 256 at a time, and each batch is joined into
-    its lines at once, so no more than one batch of words is held."""
+    stay within 70 chars. The raster must hold integers in 0..255. Each value
+    takes its four-byte word of the table, the separator slot of every 17th
+    value and of the last becomes a newline, the zero bytes are dropped with
+    one mask and the bytes decoded once: no Python object per pixel."""
     raster = np.asarray(raster)
     if raster.ndim != 2:
         raise InvalidInput("PGM raster must be 2-D")
@@ -494,12 +507,12 @@ def pgm_text(raster):
         raise InvalidInput("PGM raster values must lie in 0..255, got %d..%d"
                            % (raster.min(), raster.max()))
     height, width = raster.shape
-    flat, batch = raster.ravel(), 17 * 256
-    parts = ["P2", "%d %d" % (width, height), "255"]
-    for start in range(0, flat.size, batch):
-        words = _PGM_WORDS[flat[start:start + batch]].tolist()
-        parts.append("\n".join(" ".join(words[i:i + 17]) for i in range(0, len(words), 17)))
-    return "\n".join(parts + [""])
+    cells = _PGM_WORDS[raster.ravel()].view(np.uint8).reshape(-1, 4)
+    cells[16::17, 3] = ord("\n")
+    cells[-1:, 3] = ord("\n")
+    body = cells[cells != 0]
+    del cells  # freed before the text is decoded
+    return "P2\n%d %d\n255\n%s" % (width, height, str(body.data, "ascii"))
 
 
 def write_pgm(path, raster):

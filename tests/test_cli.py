@@ -663,6 +663,23 @@ def test_the_benchmark_maze_job_peaks_at_its_solve(tmp_path, capsys):
     assert job_peak <= 1.1 * max(solve_peak, fields_peak)
 
 
+def test_the_benchmark_maze_job_holds_no_complex_grid(tmp_path, capsys):
+    """The maze job (seed 301) peaks below its solve plus the two float value
+    arrays of 256^2 fields: G is formed in bands, the values go before the
+    rasters are encoded, and the encoding holds no word per pixel."""
+    ring = seeded_ring_mask(301)
+    mask = tmp_path / "ring301.txt"
+    mask.write_text("".join("".join("#" if c else "." for c in row) + "\n" for row in ring))
+    argv = ["maze", "--mask", str(mask), "--cell-size", "0.05",
+            "--field", str(tmp_path / "field.pgm"), "--conjugate", str(tmp_path / "conj.pgm"),
+            "--path", str(tmp_path / "path.csv")]
+    solve_peak = peak_bytes(lambda: mz.solve_maze(mz.MazeSpec(mask=ring, cell_size=0.05)))
+    codes = []
+    job_peak = peak_bytes(lambda: codes.append(cli.run(argv)))
+    assert codes == [0], capsys.readouterr().err
+    assert job_peak < solve_peak + 2 * 8 * 256 * 256
+
+
 def test_maze_bad_escape_radius(ring_mask, capsys):
     rc = cli.run(["maze", "--mask", ring_mask, "--cell-size", "0.05",
                   "--escape-radius", "banana"])

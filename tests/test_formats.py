@@ -280,10 +280,14 @@ def one_list_pgm(raster):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("shape", [(17, 3), (1, 1), (300, 301), (0, 5)])
+@pytest.mark.parametrize("shape", [(17, 3), (1, 1), (300, 301), (0, 5), (1, 17), (2, 17),
+                                   (17, 1), (4, 0), (1, 4353)])
 def test_chunked_pgm_is_the_one_list_text(shape):
+    """Lines of 17 values across raster rows, a last line full or short, and
+    an empty raster, on the integer dtypes a raster may hold."""
     raster = np.random.default_rng(83).integers(0, 256, size=shape, dtype=np.uint8)
-    assert fm.pgm_text(raster) == one_list_pgm(raster)
+    for dtype in (np.uint8, np.uint16, np.int64):
+        assert fm.pgm_text(raster.astype(dtype)) == one_list_pgm(raster)
 
 
 def test_pgm_text_holds_no_word_per_pixel():

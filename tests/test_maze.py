@@ -357,16 +357,90 @@ def _assert_fields_match_direct_sum(m, resolution, bounds):
     assert np.abs(conjugate.values - np.abs(g.imag)).max() <= tol
 
 
-@pytest.mark.parametrize("target", [None, 0.3 + 0.2j])
-def test_separable_sample_equals_direct_sum(target):
-    m = tp.solve_maze(tp.MazeSpec(mask=ring_gap(), cell_size=0.05, target=target))
+def _boxes():
+    """Five random boxes, two lines and one point."""
     rng = np.random.default_rng(93)
     boxes = [tuple(np.sort(rng.uniform(-3.0, 3.0, 2))) + tuple(np.sort(rng.uniform(-3.0, 3.0, 2)))
              for _ in range(5)]
-    boxes += [(-1.0, 2.0, 0.4, 0.4), (0.7, 0.7, -2.0, 1.0), (-0.3, -0.3, 0.2, 0.2)]
-    for bounds in boxes:
+    return boxes + [(-1.0, 2.0, 0.4, 0.4), (0.7, 0.7, -2.0, 1.0), (-0.3, -0.3, 0.2, 0.2)]
+
+
+@pytest.mark.parametrize("target", [None, 0.3 + 0.2j])
+def test_separable_sample_equals_direct_sum(target):
+    m = tp.solve_maze(tp.MazeSpec(mask=ring_gap(), cell_size=0.05, target=target))
+    for bounds in _boxes():
         for resolution in (1, 2, 37):
             _assert_fields_match_direct_sum(m, resolution, bounds)
+
+
+def _whole_raster(values):
+    """The raster scaled over the whole grid at once."""
+    lo, hi = float(values.min()), float(values.max())
+    if hi - lo <= 0:
+        return np.zeros(values.shape, dtype=np.uint8)
+    return np.round((values - lo) / (hi - lo) * 255.0).astype(np.uint8)
+
+
+def _assert_bands_are_the_whole_product(m, resolution, bounds=None):
+    """fields' values and rasters, bit for bit, against G formed as one
+    product rows @ cols over the whole grid."""
+    potential, conjugate = tp.fields(m, resolution=resolution, bounds=bounds)
+    rows, cols = mz._factors(m, potential.xs, potential.ys)
+    g = rows @ cols
+    for field, values in ((potential, g.real - m.result.rate), (conjugate, np.abs(g.imag))):
+        assert field.values.shape == (resolution, resolution)
+        assert np.array_equal(field.values, values)
+        assert np.array_equal(field.raster, _whole_raster(values))
+
+
+@pytest.mark.parametrize("target", [None, 0.3 + 0.2j])
+def test_banded_fields_are_the_whole_product_bit_for_bit(target):
+    """Resolutions on both sides of one band (1024 points: 31, 32, 33 rows),
+    with uneven last bands (37, 300), and 205, whose last band of four-row
+    steps would be one row (numpy's gemv path) and joins the band before."""
+    m = tp.solve_maze(tp.MazeSpec(mask=ring_gap(), cell_size=0.05, target=target))
+    for bounds in _boxes():
+        for resolution in (1, 2, 31, 32, 33, 37, 205, 300):
+            _assert_bands_are_the_whole_product(m, resolution, bounds)
+
+
+@pytest.mark.parametrize("seed", range(301, 313))
+def test_banded_fields_on_benchmark_rings_are_the_whole_product(seed):
+    m = tp.solve_maze(tp.MazeSpec(mask=seeded_ring_mask(seed), cell_size=0.05))
+    _assert_bands_are_the_whole_product(m, 256)
+
+
+def test_bands_cover_the_grid_with_no_lone_row():
+    for nrows in (1, 2, 3, 31, 32, 33, 37, 205, 300, 513, 1025):
+        bands = mz._bands(nrows, nrows)
+        assert bands[0].start == 0 and bands[-1].stop == nrows
+        assert all(a.stop == b.start for a, b in zip(bands, bands[1:]))
+        sizes = [b.stop - b.start for b in bands]
+        assert min(sizes) >= min(2, nrows)
+        assert max(sizes) * nrows <= max(mz._BAND + nrows, 3 * nrows)
+
+
+def _per_point_clearance(spec, points, path):
+    half = spec.cell_size / 2.0
+    centers = np.asarray(points)
+    best = math.inf
+    for z in path:
+        dz = centers - complex(z)
+        best = min(best, float(np.maximum(np.abs(dz.real), np.abs(dz.imag)).min()) - half)
+    return best
+
+
+@pytest.mark.parametrize("length", [1, 7, 8, 9, 141])
+def test_block_clearance_is_the_per_point_loop(length):
+    spec = tp.MazeSpec(mask=ring_gap(), cell_size=0.05)
+    m = tp.solve_maze(spec)
+    traced = tp.trace_path(m).points
+    assert len(traced) >= 141
+    rng = np.random.default_rng(length)
+    scattered = rng.uniform(-1.5, 1.5, length) + 1j * rng.uniform(-1.5, 1.5, length)
+    for path in (traced[:length], tuple(complex(z) for z in scattered)):
+        assert len(path) == length
+        assert mz._clearance(spec, m.points, path) == _per_point_clearance(spec, m.points, path)
 
 
 def test_separable_sample_far_from_the_origin():
@@ -390,13 +464,12 @@ def test_fields_refuse_a_grid_where_g_overflows():
 
 
 def test_fields_memory_is_bounded_by_the_output():
-    """No resolution^2 x terms temporary: the peak stays within four times
-    the complex output."""
-    from topiary import maze
-
+    """G is formed in bands: the peak stays within 1.25 times the two float
+    value arrays, with no complex grid and no resolution^2 x terms
+    temporary."""
     m = tp.solve_maze(tp.MazeSpec(mask=ring_gap(), cell_size=0.05))
-    assert len(maze._terms(m)[0]) >= 15
-    assert peak_bytes(lambda: tp.fields(m, resolution=512)) < 4 * 512 * 512 * 16
+    assert len(mz._terms(m)[0]) >= 15
+    assert peak_bytes(lambda: tp.fields(m, resolution=512)) < 1.25 * 2 * 8 * 512 * 512
 
 
 def _at(field_fn, m, z):
